@@ -32,7 +32,7 @@ enum class FaultSite : int {
   kPoolGrowth = 0,
   /// Dedup-table rehash growth (storage/relation.cc).
   kRehash,
-  /// A parallel-round lane about to run a Δ chunk (eval/fixpoint.cc, joint.cc).
+  /// A parallel-round lane about to run a Δ chunk (eval/fixpoint.cc).
   kWorkerDispatch,
   /// A reply about to be written to a client socket (tools/linrecd.cc).
   kSocketWrite,

@@ -1,38 +1,61 @@
+// The closure engines of eval/fixpoint.h and eval/joint.h, over one round
+// executor. Every fixpoint is the joint case over M >= 1 member relations:
+// the single-relation entry points convert each LinearRule to the M=1
+// JointRule{rule, 0, recursive atom, 0} and run the same rounds, loops and
+// stats epilogue as the joint ones.
+
 #include "eval/fixpoint.h"
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <optional>
+#include <string>
 
 #include "common/fault.h"
 #include "common/memory.h"
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "datalog/equality.h"
-#include "eval/chunking.h"
-#include "eval/timing.h"
+#include "datalog/printer.h"
+#include "eval/apply.h"
+#include "eval/joint.h"
 
 namespace linrec {
 namespace {
 
-/// Eliminates equality atoms up front; rules with unsatisfiable equalities
-/// contribute nothing and are dropped.
-Result<std::vector<LinearRule>> PrepareRules(
-    const std::vector<LinearRule>& rules) {
-  std::vector<LinearRule> out;
-  out.reserve(rules.size());
-  for (const LinearRule& lr : rules) {
-    if (!HasEqualities(lr.rule())) {
-      out.push_back(lr);
-      continue;
+/// A Δ chunk small enough to stay cache-resident per worker, large enough
+/// to amortize the per-chunk dispatch (an atomic claim + per-step index
+/// revalidation).
+constexpr std::size_t kMinChunkRows = 128;
+/// Rounds with fewer Δ rows than this run serially — the parallel round's
+/// fixed costs (wakeups, merge phases over 2^shard_bits shards) exceed
+/// the work.
+constexpr std::size_t kSerialRowThreshold = 256;
+/// Chunks per lane beyond the minimum, so early finishers have work to
+/// steal from skewed chunks.
+constexpr std::size_t kChunksPerLane = 4;
+
+/// RAII accumulator: adds the enclosing scope's wall-clock milliseconds to
+/// stats->millis (no-op when stats is null).
+class ClosureTimer {
+ public:
+  explicit ClosureTimer(ClosureStats* stats)
+      : stats_(stats), start_(std::chrono::steady_clock::now()) {}
+  ~ClosureTimer() {
+    if (stats_ != nullptr) {
+      auto end = std::chrono::steady_clock::now();
+      stats_->millis +=
+          std::chrono::duration<double, std::milli>(end - start_).count();
     }
-    Result<std::optional<LinearRule>> eliminated =
-        EliminateEqualitiesLinear(lr);
-    if (!eliminated.ok()) return eliminated.status();
-    if (eliminated->has_value()) out.push_back(std::move(**eliminated));
   }
-  return out;
-}
+  ClosureTimer(const ClosureTimer&) = delete;
+  ClosureTimer& operator=(const ClosureTimer&) = delete;
+
+ private:
+  ClosureStats* stats_;
+  std::chrono::steady_clock::time_point start_;
+};
 
 Status ValidateRules(const std::vector<LinearRule>& rules, const Relation& q) {
   if (rules.empty()) {
@@ -54,27 +77,63 @@ Status ValidateRules(const std::vector<LinearRule>& rules, const Relation& q) {
   return Status::OK();
 }
 
-/// Applies one prepared rule set to row ranges of a fixed input relation —
+/// Single-relation rules as the M=1 joint case: every rule heads and reads
+/// member 0.
+std::vector<JointRule> AsJoint(const std::vector<LinearRule>& rules) {
+  std::vector<JointRule> out;
+  out.reserve(rules.size());
+  for (const LinearRule& lr : rules) {
+    out.push_back(JointRule{lr.rule(), 0, lr.recursive_atom_index(), 0});
+  }
+  return out;
+}
+
+std::vector<Relation*> Pointers(std::vector<Relation>* rels) {
+  std::vector<Relation*> out;
+  out.reserve(rels->size());
+  for (Relation& r : *rels) out.push_back(&r);
+  return out;
+}
+
+std::size_t TotalSize(const std::vector<Relation*>& rels) {
+  std::size_t total = 0;
+  for (const Relation* r : rels) total += r->size();
+  return total;
+}
+
+/// Applies one prepared rule set to Δ row ranges of M member relations —
 /// the engine of every round below. Compiles each rule once per worker lane
-/// (the join plan and its scratch are lane-private); each Round() then
-/// either runs lane 0 serially or fans cache-sized Δ chunks out to the
-/// work-stealing pool and folds the thread-local output pools into the
-/// target through the sharded merger. Lanes, their index caches, output
-/// pools, the pool's threads and the merger's scratch all persist across
-/// rounds: the steady state does no locking and no allocation on the hot
-/// path.
-class RoundEvaluator {
+/// against its recursive member's relation (the join plan and its scratch
+/// are lane-private); each Round() then either runs lane 0 serially or fans
+/// cache-sized chunks of every member's Δ out to the work-stealing pool and
+/// folds the per-member thread-local output pools into the targets through
+/// the sharded merger. Lanes, their index caches, output pools, the pool's
+/// threads and the merger's scratch all persist across rounds: the steady
+/// state does no locking and no allocation on the hot path.
+class RoundExecutor {
  public:
-  /// `input` is the relation every rule's recursive atom reads; row ranges
-  /// passed to Round() index into it. It may be (and for semi-naive is) the
-  /// same relation rounds merge into: Round() only mutates it after all
-  /// reads of the batch have completed.
-  RoundEvaluator(const std::vector<LinearRule>& rules, const Database& db,
-                 const Relation* input, int workers)
+  /// `inputs[m]` is member m's relation: every rule whose recursive member
+  /// is m reads it, and row ranges passed to Round() index into it. The
+  /// relations must stay at their addresses for the executor's lifetime.
+  /// They may be (and for every loop but PowerSum's are) the targets
+  /// Round() merges into: a target is mutated only after all reads of the
+  /// batch have completed.
+  RoundExecutor(const std::vector<JointRule>& rules, const Database& db,
+                std::vector<Relation*> inputs, int workers)
       : rules_(&rules),
         db_(&db),
-        input_(input),
-        workers_(std::max(workers, 1)) {}
+        inputs_(std::move(inputs)),
+        workers_(std::max(workers, 1)) {
+    by_member_.resize(inputs_.size());
+    for (std::size_t k = 0; k < rules.size(); ++k) {
+      by_member_[static_cast<std::size_t>(rules[k].recursive_member)]
+          .push_back(static_cast<int>(k));
+    }
+  }
+
+  /// True iff some rule consumes member `m` — a Δ on a member no rule
+  /// reads cannot drive further derivations.
+  bool Feeds(std::size_t m) const { return !by_member_[m].empty(); }
 
   /// Compiles every rule for every lane. Lane 0 borrows `caller_cache` (so
   /// the caller's parameter-relation indexes are shared, exactly like the
@@ -83,48 +142,67 @@ class RoundEvaluator {
   Status Compile(IndexCache* caller_cache) {
     lanes_.resize(static_cast<std::size_t>(workers_));
     for (Lane& lane : lanes_) {
-      lane.out = Relation(input_->arity());
+      lane.out.clear();
+      lane.out.reserve(inputs_.size());
+      for (const Relation* r : inputs_) lane.out.emplace_back(r->arity());
       lane.compiled.clear();
       lane.compiled.reserve(rules_->size());
-      for (const LinearRule& lr : *rules_) {
+      for (const JointRule& jr : *rules_) {
         ApplyOptions options;
-        options.overrides[lr.recursive_atom_index()] = input_;
-        options.first_atom = lr.recursive_atom_index();
-        Result<CompiledRule> compiled =
-            CompileRule(lr.rule(), *db_, options);
+        options.overrides[jr.recursive_atom] =
+            inputs_[static_cast<std::size_t>(jr.recursive_member)];
+        options.first_atom = jr.recursive_atom;
+        Result<CompiledRule> compiled = CompileRule(jr.rule, *db_, options);
         if (!compiled.ok()) return compiled.status();
         lane.compiled.push_back(std::move(compiled).value());
       }
     }
     caller_cache_ = caller_cache;
-    if (workers_ > 1) pool_.emplace(workers_);
+    if (workers_ > 1) {
+      pool_.emplace(workers_);
+      pools_.reserve(lanes_.size());
+    }
     return Status::OK();
   }
 
-  /// Applies every rule to input rows [begin, end) and appends the derived
-  /// rows missing from `*target` to `*target`. The resulting relation is
-  /// identical for every worker count; only the insertion order of the new
-  /// rows varies with the chunking. A non-null `cancel` is checked at every
+  /// Applies every rule to its recursive member's input rows
+  /// [begin[m], end[m]) and appends the derived rows missing from the head
+  /// member's target to that target. The resulting relations are identical
+  /// for every worker count; only the insertion order of the new rows
+  /// varies with the chunking. A non-null `cancel` is checked at every
   /// Δ-chunk boundary (and inside the join cursor), so one runaway round
   /// stops in milliseconds instead of running to completion.
-  Status Round(RowId begin, RowId end, Relation* target, ClosureStats* stats,
+  Status Round(const std::vector<RowId>& begin, const std::vector<RowId>& end,
+               const std::vector<Relation*>& targets, ClosureStats* stats,
                const CancellationToken* cancel) {
-    const std::size_t rows = end - begin;
+    std::size_t rows = 0;
+    for (std::size_t m = 0; m < inputs_.size(); ++m) {
+      if (Feeds(m)) rows += end[m] - begin[m];
+    }
     if (rows == 0) return Status::OK();
     // The chunked path only pays for itself with real threads: when the
     // host gives the pool no helpers (single hardware thread), thread-local
     // pools and the sharded merge are pure overhead over direct emission.
     if (workers_ == 1 || rows < kSerialRowThreshold ||
         pool_->participants() == 1) {
-      return SerialRound(begin, end, target, stats, cancel);
+      return SerialRound(begin, end, targets, stats, cancel);
     }
 
     const std::size_t chunk = std::max(
         kMinChunkRows,
         rows / (static_cast<std::size_t>(workers_) * kChunksPerLane));
-    const std::size_t chunks = (rows + chunk - 1) / chunk;
+    items_.clear();
+    for (std::size_t m = 0; m < inputs_.size(); ++m) {
+      if (!Feeds(m)) continue;
+      for (RowId b = begin[m]; b < end[m];) {
+        const RowId e =
+            static_cast<RowId>(std::min<std::size_t>(end[m], b + chunk));
+        items_.push_back(Item{m, b, e});
+        b = e;
+      }
+    }
     for (Lane& lane : lanes_) {
-      lane.out.Clear();
+      for (Relation& out : lane.out) out.Clear();
       lane.stats = ClosureStats{};
       lane.status = Status::OK();
     }
@@ -132,7 +210,7 @@ class RoundEvaluator {
     // thread's budget inside every lane so their output-pool growth is
     // charged to the query being evaluated.
     QueryBudget* budget = CurrentQueryBudget();
-    pool_->Run(chunks, [&, budget](int lane_id, std::size_t c) {
+    pool_->Run(items_.size(), [&, budget](int lane_id, std::size_t i) {
       Lane& lane = lanes_[static_cast<std::size_t>(lane_id)];
       if (!lane.status.ok()) return;
       if (cancel != nullptr && cancel->stop_requested()) {
@@ -141,59 +219,66 @@ class RoundEvaluator {
       }
       if (FaultFires(FaultSite::kWorkerDispatch)) {
         lane.status = Status::Internal(
-            StrCat("injected worker fault dispatching chunk ", c));
+            StrCat("injected worker fault dispatching chunk ", i));
         return;
       }
       ScopedQueryBudget budget_scope(budget);
-      const RowId chunk_begin = begin + static_cast<RowId>(c * chunk);
-      const RowId chunk_end = static_cast<RowId>(
-          std::min<std::size_t>(end, chunk_begin + chunk));
-      PartitionView slice = input_->View(chunk_begin, chunk_end);
-      for (CompiledRule& rule : lane.compiled) {
-        Status s = lane.RunOne(&rule, slice, LaneCache(lane_id), cancel);
+      const Item& item = items_[i];
+      PartitionView slice = inputs_[item.member]->View(item.begin, item.end);
+      for (int k : by_member_[item.member]) {
+        Relation* out = &lane.out[HeadOf(k)];
+        Status s = lane.RunOne(&lane.compiled[static_cast<std::size_t>(k)],
+                               slice, out, LaneCache(lane_id), cancel);
         if (!s.ok()) {
           lane.status = std::move(s);
           return;
         }
       }
     });
-    std::vector<const Relation*> pools;
-    pools.reserve(lanes_.size());
     for (Lane& lane : lanes_) {
       if (!lane.status.ok()) return lane.status;
       if (stats != nullptr) stats->Accumulate(lane.stats);
-      pools.push_back(&lane.out);
     }
-    try {
-      merger_.Merge(pools.data(), pools.size(), target, &*pool_);
-    } catch (const ResourceExhaustedError& e) {
-      return Status::ResourceExhausted(e.what());
-    } catch (const std::exception& e) {
-      return Status::Internal(StrCat("parallel merge threw: ", e.what()));
-    } catch (...) {
-      return Status::Internal("parallel merge threw");
+    for (std::size_t m = 0; m < targets.size(); ++m) {
+      pools_.clear();
+      for (Lane& lane : lanes_) pools_.push_back(&lane.out[m]);
+      try {
+        merger_.Merge(pools_.data(), pools_.size(), targets[m], &*pool_);
+      } catch (const ResourceExhaustedError& e) {
+        return Status::ResourceExhausted(e.what());
+      } catch (const std::exception& e) {
+        return Status::Internal(StrCat("parallel merge threw: ", e.what()));
+      } catch (...) {
+        return Status::Internal("parallel merge threw");
+      }
     }
     return Status::OK();
   }
 
  private:
+  struct Item {
+    std::size_t member;
+    RowId begin;
+    RowId end;
+  };
+
   // Cache-line aligned: each worker lane mutates its own entry (stats
   // counters, output pool headers) on every candidate row; without the
   // alignment two lanes' hot fields can share one line and ping-pong it.
   struct alignas(64) Lane {
-    std::vector<CompiledRule> compiled;
+    std::vector<CompiledRule> compiled;  // one per rule
+    std::vector<Relation> out;           // one output pool per member
     IndexCache cache;
-    Relation out;
     ClosureStats stats;
     Status status;
 
     /// Wrapped so an exception escaping the join (a denied budget charge,
     /// bad_alloc, a throwing assertion) becomes a Status instead of
     /// terminating a pool thread.
-    Status RunOne(CompiledRule* rule, PartitionView slice,
+    Status RunOne(CompiledRule* rule, PartitionView slice, Relation* target,
                   IndexCache* cache_ptr, const CancellationToken* cancel) {
       try {
-        return rule->RunPartition(slice, &out, &stats, cache_ptr, cancel);
+        return rule->RunPartition(slice, target, &stats, cache_ptr, cancel);
       } catch (const ResourceExhaustedError& e) {
         return Status::ResourceExhausted(e.what());
       } catch (const std::bad_alloc&) {
@@ -207,60 +292,263 @@ class RoundEvaluator {
     }
   };
 
+  std::size_t HeadOf(int rule) const {
+    return static_cast<std::size_t>(
+        (*rules_)[static_cast<std::size_t>(rule)].head_member);
+  }
+
   IndexCache* LaneCache(int lane_id) {
     if (lane_id == 0 && caller_cache_ != nullptr) return caller_cache_;
     return &lanes_[static_cast<std::size_t>(lane_id)].cache;
   }
 
-  Status SerialRound(RowId begin, RowId end, Relation* target,
+  Status SerialRound(const std::vector<RowId>& begin,
+                     const std::vector<RowId>& end,
+                     const std::vector<Relation*>& targets,
                      ClosureStats* stats, const CancellationToken* cancel) {
-    // Emit straight into the target — no intermediate pool, one dedup probe
-    // per derivation. Safe even when target == input (the semi-naive case):
-    // the cursor's Δ scan is bounded by `end`, the recursive atom is the
-    // only step reading `input` (the rules are linear), and the join kernel
-    // re-resolves row pointers per candidate, so appends — which may move
-    // the pool — never invalidate a live read.
-    PartitionView slice = input_->View(begin, end);
-    for (CompiledRule& rule : lanes_.front().compiled) {
-      LINREC_RETURN_IF_ERROR(
-          rule.RunPartition(slice, target, stats, LaneCache(0), cancel));
+    // Emit straight into the targets — no intermediate pool, one dedup
+    // probe per derivation. Safe even when the targets are the inputs (the
+    // semi-naive case): each Δ scan is bounded by `end`, the recursive atom
+    // is the only step reading a member relation (the rules are linear),
+    // and the join kernel re-resolves row pointers per candidate, so
+    // appends to any member — including the one being scanned — never
+    // invalidate a live read.
+    Lane& lane = lanes_.front();
+    for (std::size_t m = 0; m < inputs_.size(); ++m) {
+      if (begin[m] >= end[m]) continue;
+      PartitionView slice = inputs_[m]->View(begin[m], end[m]);
+      for (int k : by_member_[m]) {
+        LINREC_RETURN_IF_ERROR(
+            lane.compiled[static_cast<std::size_t>(k)].RunPartition(
+                slice, targets[HeadOf(k)], stats, LaneCache(0), cancel));
+      }
     }
     return Status::OK();
   }
 
-  const std::vector<LinearRule>* rules_;
+  const std::vector<JointRule>* rules_;
   const Database* db_;
-  const Relation* input_;
+  std::vector<Relation*> inputs_;
   int workers_;
   IndexCache* caller_cache_ = nullptr;
+  std::vector<std::vector<int>> by_member_;  // member → consuming rules
   std::vector<Lane> lanes_;
+  std::vector<Item> items_;
+  std::vector<const Relation*> pools_;
   std::optional<WorkerPool> pool_;
   PoolMerger merger_;
 };
 
-/// The Δ-driven loop shared by SemiNaiveClosure and SemiNaiveResume. The Δ
-/// of each round is the row range of `result` appended by the previous one
-/// — rows [delta_begin, size) — so no tuple is ever copied into a separate
-/// Δ relation and the next Δ materializes as a side effect of the merge.
-Status RunSemiNaive(const std::vector<LinearRule>& rules, const Database& db,
-                    Relation* result, RowId delta_begin, ClosureStats* stats,
-                    IndexCache* cache, int workers,
-                    const CancellationToken* cancel) {
-  if (rules.empty() || delta_begin >= result->size()) return Status::OK();
-  RoundEvaluator evaluator(rules, db, result, workers);
-  LINREC_RETURN_IF_ERROR(evaluator.Compile(cache));
-  RowId begin = delta_begin;
-  while (begin < result->size()) {
-    LINREC_RETURN_IF_ERROR(CheckCancel(cancel));
-    if (stats != nullptr) ++stats->iterations;
-    RowId end = static_cast<RowId>(result->size());
-    LINREC_RETURN_IF_ERROR(evaluator.Round(begin, end, result, stats, cancel));
-    begin = end;
+/// The one stats epilogue. A record may be threaded through several calls,
+/// so the call adds only its own duplicates — the derivations it made
+/// minus the rows it added — to the Theorem 3.1 counter.
+void Finish(ClosureStats* stats, std::size_t derivations_before,
+            std::size_t seeded, std::size_t result_size) {
+  if (stats == nullptr) return;
+  stats->result_size = result_size;
+  stats->duplicates +=
+      (stats->derivations - derivations_before) - (result_size - seeded);
+}
+
+/// The body shared by every Δ-driven entry point once its member relations
+/// are validated and seeded: equality elimination, the compiled executor,
+/// the round loop and the stats epilogue. Rows [begin[m], size) of each
+/// member are the initial Δ; the rows before them are a closed prefix.
+///
+/// Semi-naive feeds each round the row ranges the previous one appended,
+/// so no tuple is ever copied into a separate Δ relation and the next Δ
+/// materializes as a side effect of the merge. Naive re-feeds every member
+/// from row 0 and stops once a full re-application adds nothing.
+Status Close(std::vector<JointRule> rules, const Database& db,
+             const std::vector<Relation*>& rels, std::vector<RowId> begin,
+             bool naive, ClosureStats* stats, IndexCache* cache, int workers,
+             const CancellationToken* cancel) {
+  Result<std::vector<JointRule>> prepared =
+      PrepareJointRules(std::move(rules));
+  if (!prepared.ok()) return prepared.status();
+  IndexCache local_cache;
+  if (cache == nullptr) cache = &local_cache;
+  const std::size_t derivations = stats != nullptr ? stats->derivations : 0;
+  const std::size_t seeded = TotalSize(rels);
+
+  if (!prepared->empty()) {
+    RoundExecutor executor(*prepared, db, rels, workers);
+    LINREC_RETURN_IF_ERROR(executor.Compile(cache));
+    std::vector<RowId> end(rels.size());
+    for (;;) {
+      std::size_t total_before = 0;
+      std::size_t delta_rows = 0;
+      for (std::size_t m = 0; m < rels.size(); ++m) {
+        end[m] = static_cast<RowId>(rels[m]->size());
+        total_before += end[m];
+        if (executor.Feeds(m)) delta_rows += end[m] - begin[m];
+      }
+      if (delta_rows == 0) break;
+      LINREC_RETURN_IF_ERROR(CheckCancel(cancel));
+      if (stats != nullptr) ++stats->iterations;
+      LINREC_RETURN_IF_ERROR(executor.Round(begin, end, rels, stats, cancel));
+      if (!naive) {
+        begin = end;
+      } else if (TotalSize(rels) == total_before) {
+        break;
+      }
+    }
+  }
+  Finish(stats, derivations, seeded, TotalSize(rels));
+  return Status::OK();
+}
+
+/// Shared body of ValidateJointRules / ValidateJointRuleStructure: a null
+/// `seeds` skips the seed-count and seed-arity checks (prepared queries
+/// bind seeds per execution; the closure entry points re-validate fully).
+Status ValidateJointImpl(const std::vector<std::string>& members,
+                         const std::vector<JointRule>& rules,
+                         const std::vector<Relation>* seeds) {
+  if (members.empty()) {
+    return Status::InvalidArgument(
+        "joint closure requires at least one member");
+  }
+  std::map<std::string, int> index_of;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (members[i] == kEqualityPredicate) {
+      return Status::InvalidArgument(
+          StrCat("'", kEqualityPredicate,
+                 "' is reserved and cannot be a joint member"));
+    }
+    if (!index_of.emplace(members[i], static_cast<int>(i)).second) {
+      return Status::InvalidArgument(
+          StrCat("joint member '", members[i], "' is not distinct"));
+    }
+  }
+  if (seeds != nullptr && seeds->size() != members.size()) {
+    return Status::InvalidArgument(StrCat("joint closure has ",
+                                          seeds->size(), " seeds for ",
+                                          members.size(), " members"));
+  }
+  const int member_count = static_cast<int>(members.size());
+  for (const JointRule& jr : rules) {
+    LINREC_RETURN_IF_ERROR(jr.rule.Validate());
+    if (jr.head_member < 0 || jr.head_member >= member_count ||
+        jr.recursive_member < 0 || jr.recursive_member >= member_count) {
+      return Status::InvalidArgument(
+          StrCat("joint rule member indices (", jr.head_member, ", ",
+                 jr.recursive_member, ") out of range for ", member_count,
+                 " members"));
+    }
+    const std::string& head_name =
+        members[static_cast<std::size_t>(jr.head_member)];
+    if (jr.rule.head().predicate != head_name) {
+      return Status::InvalidArgument(
+          StrCat("joint rule head '", jr.rule.head().predicate,
+                 "' does not match member '", head_name, "'"));
+    }
+    if (jr.recursive_atom < 0 ||
+        jr.recursive_atom >= static_cast<int>(jr.rule.body().size())) {
+      return Status::InvalidArgument(
+          StrCat("joint rule recursive atom index ", jr.recursive_atom,
+                 " out of range for a body of ", jr.rule.body().size(),
+                 " atoms"));
+    }
+    const Atom& rec =
+        jr.rule.body()[static_cast<std::size_t>(jr.recursive_atom)];
+    if (rec.predicate !=
+        members[static_cast<std::size_t>(jr.recursive_member)]) {
+      return Status::InvalidArgument(
+          StrCat("joint rule recursive atom '", rec.predicate,
+                 "' does not match member '",
+                 members[static_cast<std::size_t>(jr.recursive_member)],
+                 "'"));
+    }
+    // The linearity invariant: exactly one body atom may read a member.
+    // The joint fixpoint overrides only the recursive atom, so a second
+    // member atom would resolve against `db` — where members are absent,
+    // i.e. as an empty relation — and silently compute a wrong fixpoint.
+    int member_atoms = 0;
+    for (const Atom& atom : jr.rule.body()) {
+      if (index_of.count(atom.predicate) > 0) ++member_atoms;
+    }
+    if (member_atoms != 1) {
+      return Status::InvalidArgument(
+          StrCat("joint rule must read exactly one member atom, found ",
+                 member_atoms, ": ", ToString(jr.rule)));
+    }
+    if (seeds != nullptr) {
+      const std::size_t head_arity =
+          (*seeds)[static_cast<std::size_t>(jr.head_member)].arity();
+      if (jr.rule.head().arity() != head_arity) {
+        return Status::InvalidArgument(
+            StrCat("joint rule head arity ", jr.rule.head().arity(),
+                   " does not match seed arity ", head_arity,
+                   " of member '", head_name, "'"));
+      }
+      const std::size_t rec_arity =
+          (*seeds)[static_cast<std::size_t>(jr.recursive_member)].arity();
+      if (rec.arity() != rec_arity) {
+        return Status::InvalidArgument(
+            StrCat("joint rule recursive atom arity ", rec.arity(),
+                   " does not match seed arity ", rec_arity,
+                   " of member '", rec.predicate, "'"));
+      }
+    }
   }
   return Status::OK();
 }
 
+Result<std::vector<Relation>> CloseJoint(
+    const std::vector<std::string>& members,
+    const std::vector<JointRule>& rules, const Database& db,
+    const std::vector<Relation>& seeds, ClosureStats* stats,
+    IndexCache* cache, int workers, bool naive,
+    const CancellationToken* cancel) {
+  return GuardAllocFailures([&]() -> Result<std::vector<Relation>> {
+    LINREC_RETURN_IF_ERROR(ValidateJointRules(members, rules, seeds));
+    ClosureTimer timer(stats);
+    std::vector<Relation> rels = seeds;
+    LINREC_RETURN_IF_ERROR(Close(rules, db, Pointers(&rels),
+                                 std::vector<RowId>(rels.size(), 0), naive,
+                                 stats, cache, workers, cancel));
+    return rels;
+  });
+}
+
 }  // namespace
+
+Result<std::vector<JointRule>> PrepareJointRules(
+    std::vector<JointRule> rules) {
+  std::vector<JointRule> out;
+  out.reserve(rules.size());
+  for (JointRule& jr : rules) {
+    if (!HasEqualities(jr.rule)) {
+      out.push_back(std::move(jr));
+      continue;
+    }
+    int eq_before = 0;
+    for (int i = 0; i < jr.recursive_atom; ++i) {
+      if (jr.rule.body()[static_cast<std::size_t>(i)].predicate ==
+          kEqualityPredicate) {
+        ++eq_before;
+      }
+    }
+    Result<std::optional<Rule>> eliminated = EliminateEqualities(jr.rule);
+    if (!eliminated.ok()) return eliminated.status();
+    if (!eliminated->has_value()) continue;
+    jr.rule = std::move(**eliminated);
+    jr.recursive_atom -= eq_before;
+    out.push_back(std::move(jr));
+  }
+  return out;
+}
+
+Status ValidateJointRules(const std::vector<std::string>& members,
+                          const std::vector<JointRule>& rules,
+                          const std::vector<Relation>& seeds) {
+  return ValidateJointImpl(members, rules, &seeds);
+}
+
+Status ValidateJointRuleStructure(const std::vector<std::string>& members,
+                                  const std::vector<JointRule>& rules) {
+  return ValidateJointImpl(members, rules, nullptr);
+}
 
 // Every public closure entry point runs under GuardAllocFailures: a denied
 // budget charge (or injected allocation fault) on the calling thread throws
@@ -274,22 +562,13 @@ Result<Relation> SemiNaiveClosure(const std::vector<LinearRule>& rules,
                                   int workers,
                                   const CancellationToken* cancel) {
   return GuardAllocFailures([&]() -> Result<Relation> {
-  LINREC_RETURN_IF_ERROR(ValidateRules(rules, q));
-  Result<std::vector<LinearRule>> prepared = PrepareRules(rules);
-  if (!prepared.ok()) return prepared.status();
-  ClosureTimer timer(stats);
-  IndexCache local_cache;
-  if (cache == nullptr) cache = &local_cache;
-
-  Relation result = q;
-  LINREC_RETURN_IF_ERROR(
-      RunSemiNaive(*prepared, db, &result, 0, stats, cache, workers,
-                   cancel));
-  if (stats != nullptr) {
-    stats->result_size = result.size();
-    stats->duplicates = stats->derivations - (result.size() - q.size());
-  }
-  return result;
+    LINREC_RETURN_IF_ERROR(ValidateRules(rules, q));
+    ClosureTimer timer(stats);
+    Relation result = q;
+    LINREC_RETURN_IF_ERROR(Close(AsJoint(rules), db, {&result}, {0},
+                                 /*naive=*/false, stats, cache, workers,
+                                 cancel));
+    return result;
   });
 }
 
@@ -299,37 +578,27 @@ Result<Relation> SemiNaiveResume(const std::vector<LinearRule>& rules,
                                  IndexCache* cache, int workers,
                                  const CancellationToken* cancel) {
   return GuardAllocFailures([&]() -> Result<Relation> {
-  LINREC_RETURN_IF_ERROR(ValidateRules(rules, closed));
-  if (extra.arity() != closed.arity()) {
-    return Status::InvalidArgument(
-        StrCat("extra arity ", extra.arity(), " != closed arity ",
-               closed.arity()));
-  }
-  Result<std::vector<LinearRule>> prepared = PrepareRules(rules);
-  if (!prepared.ok()) return prepared.status();
-  ClosureTimer timer(stats);
-  IndexCache local_cache;
-  if (cache == nullptr) cache = &local_cache;
-
-  // Seed the Δ with the genuinely new tuples only. Because every rule is
-  // linear — each derivation consumes exactly one recursive tuple — and
-  // `closed` is a fixpoint of the rules, derivations whose recursive input
-  // lies in `closed` can only reproduce `closed`; they need not be re-run.
-  // The new tuples are appended to `result`, so the initial Δ is exactly
-  // the row range past the closed prefix.
-  Relation result = closed;
-  RowId delta_begin = static_cast<RowId>(result.size());
-  result.Reserve(result.size() + extra.size());
-  for (TupleView t : extra) result.Insert(t);
-  std::size_t seeded = result.size();
-
-  LINREC_RETURN_IF_ERROR(RunSemiNaive(*prepared, db, &result, delta_begin,
-                                      stats, cache, workers, cancel));
-  if (stats != nullptr) {
-    stats->result_size = result.size();
-    stats->duplicates += stats->derivations - (result.size() - seeded);
-  }
-  return result;
+    LINREC_RETURN_IF_ERROR(ValidateRules(rules, closed));
+    if (extra.arity() != closed.arity()) {
+      return Status::InvalidArgument(
+          StrCat("extra arity ", extra.arity(), " != closed arity ",
+                 closed.arity()));
+    }
+    ClosureTimer timer(stats);
+    // Seed the Δ with the genuinely new tuples only. Because every rule is
+    // linear — each derivation consumes exactly one recursive tuple — and
+    // `closed` is a fixpoint of the rules, derivations whose recursive
+    // input lies in `closed` can only reproduce `closed`; they need not be
+    // re-run. The new tuples are appended to `result`, so the initial Δ is
+    // exactly the row range past the closed prefix.
+    Relation result = closed;
+    const RowId delta_begin = static_cast<RowId>(result.size());
+    result.Reserve(result.size() + extra.size());
+    for (TupleView t : extra) result.Insert(t);
+    LINREC_RETURN_IF_ERROR(Close(AsJoint(rules), db, {&result},
+                                 {delta_begin}, /*naive=*/false, stats,
+                                 cache, workers, cancel));
+    return result;
   });
 }
 
@@ -345,15 +614,9 @@ Status SemiNaiveExtend(const std::vector<LinearRule>& rules,
           StrCat("delta_begin ", delta_begin, " past result size ",
                  result->size()));
     }
-    Result<std::vector<LinearRule>> prepared = PrepareRules(rules);
-    if (!prepared.ok()) return prepared.status();
     ClosureTimer timer(stats);
-    IndexCache local_cache;
-    if (cache == nullptr) cache = &local_cache;
-    LINREC_RETURN_IF_ERROR(RunSemiNaive(*prepared, db, result, delta_begin,
-                                        stats, cache, workers, cancel));
-    if (stats != nullptr) stats->result_size = result->size();
-    return Status::OK();
+    return Close(AsJoint(rules), db, {result}, {delta_begin},
+                 /*naive=*/false, stats, cache, workers, cancel);
   });
 }
 
@@ -362,37 +625,13 @@ Result<Relation> NaiveClosure(const std::vector<LinearRule>& rules,
                               ClosureStats* stats, IndexCache* cache,
                               int workers, const CancellationToken* cancel) {
   return GuardAllocFailures([&]() -> Result<Relation> {
-  LINREC_RETURN_IF_ERROR(ValidateRules(rules, q));
-  Result<std::vector<LinearRule>> prepared = PrepareRules(rules);
-  if (!prepared.ok()) return prepared.status();
-  ClosureTimer timer(stats);
-  IndexCache local_cache;
-  if (cache == nullptr) cache = &local_cache;
-
-  Relation result = q;
-  if (prepared->empty()) {
-    if (stats != nullptr) {
-      stats->result_size = result.size();
-      stats->duplicates = stats->derivations;
-    }
+    LINREC_RETURN_IF_ERROR(ValidateRules(rules, q));
+    ClosureTimer timer(stats);
+    Relation result = q;
+    LINREC_RETURN_IF_ERROR(Close(AsJoint(rules), db, {&result}, {0},
+                                 /*naive=*/true, stats, cache, workers,
+                                 cancel));
     return result;
-  }
-  RoundEvaluator evaluator(*prepared, db, &result, workers);
-  LINREC_RETURN_IF_ERROR(evaluator.Compile(cache));
-  bool changed = true;
-  while (changed) {
-    LINREC_RETURN_IF_ERROR(CheckCancel(cancel));
-    if (stats != nullptr) ++stats->iterations;
-    RowId before = static_cast<RowId>(result.size());
-    LINREC_RETURN_IF_ERROR(
-        evaluator.Round(0, before, &result, stats, cancel));
-    changed = result.size() > before;
-  }
-  if (stats != nullptr) {
-    stats->result_size = result.size();
-    stats->duplicates = stats->derivations - (result.size() - q.size());
-  }
-  return result;
   });
 }
 
@@ -402,42 +641,87 @@ Result<Relation> PowerSum(const std::vector<LinearRule>& rules,
                           IndexCache* cache, int workers,
                           const CancellationToken* cancel) {
   return GuardAllocFailures([&]() -> Result<Relation> {
-  LINREC_RETURN_IF_ERROR(ValidateRules(rules, q));
-  if (max_power < 0) {
-    return Status::InvalidArgument("max_power must be >= 0");
-  }
-  Result<std::vector<LinearRule>> prepared = PrepareRules(rules);
-  if (!prepared.ok()) return prepared.status();
-  ClosureTimer timer(stats);
-  IndexCache local_cache;
-  if (cache == nullptr) cache = &local_cache;
+    LINREC_RETURN_IF_ERROR(ValidateRules(rules, q));
+    if (max_power < 0) {
+      return Status::InvalidArgument("max_power must be >= 0");
+    }
+    ClosureTimer timer(stats);
+    Result<std::vector<JointRule>> prepared =
+        PrepareJointRules(AsJoint(rules));
+    if (!prepared.ok()) return prepared.status();
+    IndexCache local_cache;
+    if (cache == nullptr) cache = &local_cache;
+    const std::size_t derivations = stats != nullptr ? stats->derivations : 0;
 
-  Relation result = q;  // the m = 0 term
-  Relation current = q;
-  if (prepared->empty()) {
-    if (stats != nullptr) stats->result_size = result.size();
+    Relation result = q;  // the m = 0 term
+    if (!prepared->empty()) {
+      // `current` is the fixed input address the compiled rules read; the
+      // executor writes each power into `next`, then the two swap.
+      Relation current = q;
+      Relation next(q.arity());
+      RoundExecutor executor(*prepared, db, {&current}, workers);
+      LINREC_RETURN_IF_ERROR(executor.Compile(cache));
+      const std::vector<Relation*> targets = {&next};
+      const std::vector<RowId> begin = {0};
+      std::vector<RowId> end = {0};
+      for (int m = 1; m <= max_power; ++m) {
+        LINREC_RETURN_IF_ERROR(CheckCancel(cancel));
+        if (stats != nullptr) ++stats->iterations;
+        next.Clear();
+        end[0] = static_cast<RowId>(current.size());
+        LINREC_RETURN_IF_ERROR(
+            executor.Round(begin, end, targets, stats, cancel));
+        std::swap(current, next);
+        if (current.empty()) break;
+        result.UnionWith(current);
+      }
+    }
+    Finish(stats, derivations, q.size(), result.size());
     return result;
-  }
-  // `current` is the fixed input address the compiled rules read; each
-  // power produces into `next`, then the two swap.
-  RoundEvaluator evaluator(*prepared, db, &current, workers);
-  LINREC_RETURN_IF_ERROR(evaluator.Compile(cache));
-  Relation next(q.arity());
-  for (int m = 1; m <= max_power; ++m) {
-    LINREC_RETURN_IF_ERROR(CheckCancel(cancel));
-    if (stats != nullptr) ++stats->iterations;
-    next.Clear();
-    LINREC_RETURN_IF_ERROR(evaluator.Round(
-        0, static_cast<RowId>(current.size()), &next, stats, cancel));
-    std::swap(current, next);
-    if (current.empty()) break;
-    result.UnionWith(current);
-  }
-  if (stats != nullptr) {
-    stats->result_size = result.size();
-    stats->duplicates = stats->derivations - (result.size() - q.size());
-  }
-  return result;
+  });
+}
+
+Result<std::vector<Relation>> JointSemiNaiveClosure(
+    const std::vector<std::string>& members,
+    const std::vector<JointRule>& rules, const Database& db,
+    const std::vector<Relation>& seeds, ClosureStats* stats,
+    IndexCache* cache, int workers, const CancellationToken* cancel) {
+  return CloseJoint(members, rules, db, seeds, stats, cache, workers,
+                    /*naive=*/false, cancel);
+}
+
+Result<std::vector<Relation>> JointNaiveClosure(
+    const std::vector<std::string>& members,
+    const std::vector<JointRule>& rules, const Database& db,
+    const std::vector<Relation>& seeds, ClosureStats* stats,
+    IndexCache* cache, int workers, const CancellationToken* cancel) {
+  return CloseJoint(members, rules, db, seeds, stats, cache, workers,
+                    /*naive=*/true, cancel);
+}
+
+Status JointSemiNaiveExtend(const std::vector<std::string>& members,
+                            const std::vector<JointRule>& rules,
+                            const Database& db, std::vector<Relation>* rels,
+                            const std::vector<RowId>& delta_begin,
+                            ClosureStats* stats, IndexCache* cache,
+                            int workers, const CancellationToken* cancel) {
+  return GuardAllocFailures([&]() -> Status {
+    LINREC_RETURN_IF_ERROR(ValidateJointRules(members, rules, *rels));
+    if (delta_begin.size() != rels->size()) {
+      return Status::InvalidArgument(
+          StrCat("joint extend has ", delta_begin.size(),
+                 " delta offsets for ", rels->size(), " members"));
+    }
+    for (std::size_t m = 0; m < rels->size(); ++m) {
+      if (delta_begin[m] > (*rels)[m].size()) {
+        return Status::InvalidArgument(
+            StrCat("delta_begin ", delta_begin[m], " past member ", m,
+                   " size ", (*rels)[m].size()));
+      }
+    }
+    ClosureTimer timer(stats);
+    return Close(rules, db, Pointers(rels), delta_begin, /*naive=*/false,
+                 stats, cache, workers, cancel);
   });
 }
 

@@ -1,6 +1,10 @@
 // Fixpoint engines: the transitive closure A* = Σ_k A^k of Theorem 2.1,
 // computed naively or semi-naively over a sum of linear operators.
 //
+// These single-relation closures are the M=1 case of the joint closures in
+// eval/joint.h: both run on one round executor (eval/fixpoint.cc), which
+// treats each rule here as a joint rule heading and reading member 0.
+//
 // Every engine accepts a `workers` count (see common/parallel.h for the
 // resolution rule: 0 = one lane per hardware thread, 1 = serial). With
 // workers >= 2 the INSIDE of each round is parallelized: Δ is split into

@@ -7,11 +7,12 @@
 // mutual recursion*: every rule consumes exactly one tuple of exactly one
 // member predicate (its "recursive atom") and derives into its head
 // member, so the component closes by the familiar Δ-driven rounds — one Δ
-// row-range per member relation instead of one. Rules compile once per
-// closure (eval/apply.h CompiledRule); with workers >= 2 each round fans
-// every member's Δ chunks to the shared work-stealing pool and folds
-// per-member thread-local output pools through the sharded PoolMerger,
-// exactly like the single-relation rounds of eval/fixpoint.h.
+// row-range per member relation. This is the general case of the one round
+// executor (eval/fixpoint.cc): the single-relation closures of
+// eval/fixpoint.h are its M=1 instance. Rules compile once per closure
+// (eval/apply.h CompiledRule); with workers >= 2 each round fans every
+// member's Δ chunks to the shared work-stealing pool and folds per-member
+// thread-local output pools through the sharded PoolMerger.
 
 #pragma once
 
@@ -53,6 +54,14 @@ struct JointRule {
 Status ValidateJointRules(const std::vector<std::string>& members,
                           const std::vector<JointRule>& rules,
                           const std::vector<Relation>& seeds);
+
+/// Statically eliminates the equality atoms of every rule, remapping each
+/// recursive atom index (elimination keeps the relative order of the other
+/// atoms). Rules left unsatisfiable derive nothing and are dropped. Every
+/// closure entry point runs this once up front; the IVM delta rules
+/// (src/ivm) reuse it.
+Result<std::vector<JointRule>> PrepareJointRules(
+    std::vector<JointRule> rules);
 
 /// Structure-only variant: everything ValidateJointRules checks except the
 /// seed count and seed-arity consistency. Used for prepared joint queries

@@ -1,23 +1,25 @@
 // The IVM delta engine: Engine::Materialize / Apply / Retract.
 //
+// Every view runs on the joint closure entry points: a single-predicate
+// view is the M=1 case.
+//
 // Apply is the insert half: the closed view plus freshly appended tuples
-// is handed to the in-place semi-naive continuation (SemiNaiveExtend /
-// JointSemiNaiveExtend), which runs Δ rounds from exactly the appended
-// row ranges. The one-step consequences of new PARAMETER tuples are
-// produced first by "delta rules" — the rule with one body atom pinned
-// to the delta relation and the recursive atom pinned to the closed view
-// — so a parameter insert seeds the continuation the same way a seed
-// insert does. Every mutation on this path is an append; failure
-// rollback is Relation::TruncateRows back to the recorded sizes, which
-// restores the exact pre-call bytes (and cannot itself fail: same-size
-// rehash never charges the budget).
+// is handed to the in-place semi-naive continuation (JointSemiNaiveExtend),
+// which runs Δ rounds from exactly the appended row ranges. The one-step
+// consequences of new PARAMETER tuples are produced first by "delta
+// rules" — the rule with one body atom pinned to the delta relation and
+// the recursive atom pinned to the closed view — so a parameter insert
+// seeds the continuation the same way a seed insert does. Every mutation
+// on this path is an append; failure rollback is Relation::TruncateRows
+// back to the recorded sizes, which restores the exact pre-call bytes (and
+// cannot itself fail: same-size rehash never charges the budget).
 //
 // Retract is the delete half — delete-and-rederive (DRed):
 //   1. Over-delete: close the set of DIRECTLY damaged tuples (deleted
 //      seed tuples, plus heads of derivations consuming a deleted
 //      parameter tuple) under the rules — linearity makes "derivable
 //      from a suspect" the same linear closure the view itself uses, so
-//      the suspect set D is computed by SemiNaiveClosure over the
+//      the suspect set D is computed by JointSemiNaiveClosure over the
 //      suspects.
 //   2. Re-derive: the survivors closed \ D are sound (none of their
 //      derivations touched a deleted tuple). Re-seed with the deleted-
@@ -34,7 +36,6 @@
 
 #include <cstddef>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,10 +44,8 @@
 #include "common/memory.h"
 #include "common/status.h"
 #include "common/strings.h"
-#include "datalog/equality.h"
 #include "engine/engine.h"
 #include "eval/apply.h"
-#include "eval/fixpoint.h"
 #include "eval/joint.h"
 #include "ivm/view.h"
 #include "storage/relation.h"
@@ -55,63 +54,19 @@ namespace linrec {
 
 namespace {
 
-/// Uniform shape for the delta runs: every rule as (rule, head member,
-/// recursive atom, recursive member), equality atoms statically
-/// eliminated (elimination shifts atom indices, so the recursive atom is
-/// re-identified afterwards). Single-predicate plans use member 0.
-struct DeltaRule {
-  Rule rule;
-  int head_member = 0;
-  int recursive_atom = -1;
-  int recursive_member = 0;
+/// The view's rules in the executor's joint form. A single-predicate view
+/// is the M=1 case, its member named by the plan's recursive predicate.
+struct ViewRules {
+  std::vector<std::string> members;
+  std::vector<JointRule> rules;
 };
 
-Result<std::vector<DeltaRule>> DeltaRulesOf(
-    const std::vector<LinearRule>& rules) {
-  std::vector<DeltaRule> out;
-  out.reserve(rules.size());
-  for (const LinearRule& lr : rules) {
-    if (!HasEqualities(lr.rule())) {
-      out.push_back({lr.rule(), 0, lr.recursive_atom_index(), 0});
-      continue;
-    }
-    Result<std::optional<LinearRule>> e = EliminateEqualitiesLinear(lr);
-    if (!e.ok()) return e.status();
-    if (!e->has_value()) continue;  // unsatisfiable: derives nothing
-    out.push_back({(*e)->rule(), 0, (*e)->recursive_atom_index(), 0});
-  }
-  return out;
-}
-
-Result<std::vector<DeltaRule>> DeltaRulesOf(
-    const std::vector<std::string>& members,
-    const std::vector<JointRule>& rules) {
-  std::vector<DeltaRule> out;
-  out.reserve(rules.size());
-  for (const JointRule& jr : rules) {
-    Rule rule = jr.rule;
-    if (HasEqualities(rule)) {
-      Result<std::optional<Rule>> e = EliminateEqualities(rule);
-      if (!e.ok()) return e.status();
-      if (!e->has_value()) continue;
-      rule = std::move(**e);
-    }
-    int rec_atom = -1;
-    int rec_member = -1;
-    for (std::size_t i = 0; i < rule.body().size(); ++i) {
-      for (std::size_t m = 0; m < members.size(); ++m) {
-        if (rule.body()[i].predicate == members[m]) {
-          rec_atom = static_cast<int>(i);
-          rec_member = static_cast<int>(m);
-        }
-      }
-    }
-    // Exactly one member atom per body (ValidateJointRuleStructure held at
-    // plan time), and elimination never drops a non-equality atom.
-    if (rec_atom < 0) {
-      return Status::Internal(StrCat("joint rule lost its member atom"));
-    }
-    out.push_back({std::move(rule), jr.head_member, rec_atom, rec_member});
+ViewRules RulesOf(const ExecutionPlan& plan, bool joint) {
+  if (joint) return {plan.members, plan.joint_rules};
+  ViewRules out;
+  out.members = {plan.rules.front().recursive_predicate()};
+  for (const LinearRule& lr : plan.rules) {
+    out.rules.push_back(JointRule{lr.rule(), 0, lr.recursive_atom_index(), 0});
   }
   return out;
 }
@@ -226,9 +181,8 @@ Result<ApplyOutcome> Engine::Apply(MaterializedView& view,
                  " != database arity ", existing->arity()));
     }
   }
-  Result<std::vector<DeltaRule>> delta_rules =
-      view.joint_ ? DeltaRulesOf(plan.members, plan.joint_rules)
-                  : DeltaRulesOf(plan.rules);
+  const ViewRules rules = RulesOf(plan, view.joint_);
+  Result<std::vector<JointRule>> delta_rules = PrepareJointRules(rules.rules);
   if (!delta_rules.ok()) return delta_rules.status();
 
   // Checkpoint: every relation this call may touch is append-only, so the
@@ -267,7 +221,7 @@ Result<ApplyOutcome> Engine::Apply(MaterializedView& view,
     for (std::size_t m = 0; m < members; ++m) {
       heads.emplace_back(closed[m]->arity());
     }
-    for (const DeltaRule& dr : *delta_rules) {
+    for (const JointRule& dr : *delta_rules) {
       for (std::size_t i = 0; i < dr.rule.body().size(); ++i) {
         if (static_cast<int>(i) == dr.recursive_atom) continue;
         auto it = delta.param_inserts.find(dr.rule.body()[i].predicate);
@@ -299,32 +253,24 @@ Result<ApplyOutcome> Engine::Apply(MaterializedView& view,
     }
 
     // 4. Resume the fixpoint in place from the appended rows only.
-    if (!view.joint_) {
-      LINREC_RETURN_IF_ERROR(SemiNaiveExtend(
-          plan.rules, db_, closed[0], outcome.appended[0].first,
-          &outcome.stats, &cache_, workers, cancel));
-    } else {
-      // JointSemiNaiveExtend works on a member vector; the members live as
-      // separate database entries, so move them out, extend, move back
-      // (O(1) moves — and safe: the linearity invariant means no rule body
-      // reads a member through the database).
-      std::vector<Relation> rels;
-      rels.reserve(members);
-      for (std::size_t m = 0; m < members; ++m) {
-        rels.push_back(std::move(*closed[m]));
-      }
-      std::vector<RowId> begin(members);
-      for (std::size_t m = 0; m < members; ++m) {
-        begin[m] = outcome.appended[m].first;
-      }
-      Status extended = JointSemiNaiveExtend(
-          plan.members, plan.joint_rules, db_, &rels, begin, &outcome.stats,
-          &cache_, workers, cancel);
-      for (std::size_t m = 0; m < members; ++m) {
-        *closed[m] = std::move(rels[m]);
-      }
-      LINREC_RETURN_IF_ERROR(extended);
+    // JointSemiNaiveExtend works on a member vector; the members live as
+    // separate database entries, so move them out, extend, move back (O(1)
+    // moves — and safe: the linearity invariant means no rule body reads a
+    // member through the database).
+    std::vector<Relation> rels;
+    rels.reserve(members);
+    std::vector<RowId> begin(members);
+    for (std::size_t m = 0; m < members; ++m) {
+      rels.push_back(std::move(*closed[m]));
+      begin[m] = outcome.appended[m].first;
     }
+    Status extended =
+        JointSemiNaiveExtend(rules.members, rules.rules, db_, &rels, begin,
+                             &outcome.stats, &cache_, workers, cancel);
+    for (std::size_t m = 0; m < members; ++m) {
+      *closed[m] = std::move(rels[m]);
+    }
+    LINREC_RETURN_IF_ERROR(extended);
 
     if (FaultFires(FaultSite::kIvmApply)) {
       return Status::Internal("injected fault at ivm_apply (at commit)");
@@ -403,9 +349,8 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
                  " != database arity ", existing->arity()));
     }
   }
-  Result<std::vector<DeltaRule>> delta_rules =
-      view.joint_ ? DeltaRulesOf(plan.members, plan.joint_rules)
-                  : DeltaRulesOf(plan.rules);
+  const ViewRules rules = RulesOf(plan, view.joint_);
+  Result<std::vector<JointRule>> delta_rules = PrepareJointRules(rules.rules);
   if (!delta_rules.ok()) return delta_rules.status();
 
   const int workers = plan.parallel_workers > 0 ? plan.parallel_workers : 1;
@@ -455,7 +400,7 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
             }
           }
         }
-        for (const DeltaRule& dr : *delta_rules) {
+        for (const JointRule& dr : *delta_rules) {
           for (std::size_t i = 0; i < dr.rule.body().size(); ++i) {
             if (static_cast<int>(i) == dr.recursive_atom) continue;
             auto it = delta.param_deletes.find(dr.rule.body()[i].predicate);
@@ -488,20 +433,11 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
         // 1b. Close the suspects: everything derivable FROM a suspect is
         // suspect (linear rules — one recursive tuple per derivation — so
         // this is the view's own closure seeded with the suspects).
-        std::vector<Relation> suspects;
-        if (!view.joint_) {
-          Result<Relation> d =
-              SemiNaiveClosure(plan.rules, db_, suspects0[0], &out.stats,
-                               &cache_, workers, cancel);
-          if (!d.ok()) return d.status();
-          suspects.push_back(*std::move(d));
-        } else {
-          Result<std::vector<Relation>> d = JointSemiNaiveClosure(
-              plan.members, plan.joint_rules, db_, suspects0, &out.stats,
-              &cache_, workers, cancel);
-          if (!d.ok()) return d.status();
-          suspects = *std::move(d);
-        }
+        Result<std::vector<Relation>> closed_suspects = JointSemiNaiveClosure(
+            rules.members, rules.rules, db_, suspects0, &out.stats, &cache_,
+            workers, cancel);
+        if (!closed_suspects.ok()) return closed_suspects.status();
+        std::vector<Relation> suspects = std::move(closed_suspects).value();
 
         // 2. Filter the deleted parameter tuples out of the database,
         // keeping the displaced originals for restore-on-failure. From
@@ -566,7 +502,7 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
         for (std::size_t m = 0; m < members; ++m) {
           pass.emplace_back(survivors[m].arity());
         }
-        for (const DeltaRule& dr : *delta_rules) {
+        for (const JointRule& dr : *delta_rules) {
           ApplyOptions options;
           options.overrides[dr.recursive_atom] = &survivors[dr.recursive_member];
           LINREC_RETURN_IF_ERROR(ApplyRule(dr.rule, db_, options,
@@ -578,16 +514,9 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
             if (suspects[m].Contains(t)) survivors[m].Insert(t);
           }
         }
-        if (!view.joint_) {
-          LINREC_RETURN_IF_ERROR(SemiNaiveExtend(plan.rules, db_,
-                                                 &survivors[0], begin[0],
-                                                 &out.stats, &cache_, workers,
-                                                 cancel));
-        } else {
-          LINREC_RETURN_IF_ERROR(JointSemiNaiveExtend(
-              plan.members, plan.joint_rules, db_, &survivors, begin,
-              &out.stats, &cache_, workers, cancel));
-        }
+        LINREC_RETURN_IF_ERROR(JointSemiNaiveExtend(
+            rules.members, rules.rules, db_, &survivors, begin, &out.stats,
+            &cache_, workers, cancel));
 
         // 5. Outcome + commit (whole-relation swaps; nothing here can
         // fail).

@@ -9,7 +9,7 @@
 //
 //   * DeltaInsert — new seed tuples and/or new parameter tuples. Apply
 //     extends the closure semi-naively from exactly the new tuples
-//     (eval/fixpoint.h SemiNaiveExtend): the closed part is never
+//     (eval/joint.h JointSemiNaiveExtend): the closed part is never
 //     re-derived, and every mutation is an append, so a failed Apply
 //     rolls back by truncation to the exact pre-call bytes.
 //

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "datalog/parser.h"
+#include "eval/joint.h"
 #include "workload/graphs.h"
+#include "workload/rulegen.h"
 
 namespace linrec {
 namespace {
@@ -96,6 +98,60 @@ TEST(SemiNaiveTest, DuplicateAccounting) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(stats.duplicates,
             stats.derivations - (stats.result_size - q.size()));
+
+  // A record shared across calls accumulates each call's own duplicates
+  // (derivations it made minus rows it added), never the running totals.
+  Database g;
+  g.GetOrCreate("e", 2) = RandomGraph(60, 150, 5);
+  Relation lo(2), hi(2);
+  for (int i = 0; i < 60; ++i) (i < 30 ? lo : hi).Insert({i, i});
+
+  ClosureStats once;
+  ASSERT_TRUE(SemiNaiveClosure({TC()}, g, lo, &once).ok());
+  ASSERT_GT(once.duplicates, 0u);
+  ClosureStats twice;
+  ASSERT_TRUE(SemiNaiveClosure({TC()}, g, lo, &twice).ok());
+  ASSERT_TRUE(SemiNaiveClosure({TC()}, g, lo, &twice).ok());
+  EXPECT_EQ(twice.duplicates, 2 * once.duplicates);
+
+  Result<JointWorkload> w = MakeAlternatingReachability(40, 90, 7);
+  ASSERT_TRUE(w.ok());
+  ClosureStats joint_once;
+  ASSERT_TRUE(JointSemiNaiveClosure(w->members, w->rules, w->db, w->seeds,
+                                    &joint_once)
+                  .ok());
+  ASSERT_GT(joint_once.duplicates, 0u);
+  ClosureStats joint_twice;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(JointSemiNaiveClosure(w->members, w->rules, w->db, w->seeds,
+                                      &joint_twice)
+                    .ok());
+  }
+  EXPECT_EQ(joint_twice.duplicates, 2 * joint_once.duplicates);
+
+  Result<Relation> closed = SemiNaiveClosure({TC()}, g, lo);
+  ASSERT_TRUE(closed.ok());
+  ClosureStats resume_alone;
+  Result<Relation> resumed =
+      SemiNaiveResume({TC()}, g, *closed, hi, &resume_alone);
+  ASSERT_TRUE(resumed.ok());
+  EXPECT_EQ(resume_alone.duplicates,
+            resume_alone.derivations - (resumed->size() - closed->size() -
+                                        hi.size()));
+  ClosureStats shared = once;  // a closure already in the record
+  ASSERT_TRUE(SemiNaiveResume({TC()}, g, *closed, hi, &shared).ok());
+  EXPECT_EQ(shared.duplicates, once.duplicates + resume_alone.duplicates);
+
+  // The in-place continuation counts the rows it appended past the seed.
+  Relation extended = *closed;
+  const RowId begin = static_cast<RowId>(extended.size());
+  for (TupleView t : hi) extended.Insert(t);
+  const std::size_t seeded = extended.size();
+  ClosureStats extend_stats;
+  ASSERT_TRUE(
+      SemiNaiveExtend({TC()}, g, &extended, begin, &extend_stats).ok());
+  EXPECT_EQ(extend_stats.duplicates,
+            extend_stats.derivations - (extended.size() - seeded));
 }
 
 TEST(SemiNaiveTest, MismatchedArityRejected) {

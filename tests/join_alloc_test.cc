@@ -189,6 +189,40 @@ TEST(ClosureAllocTest, SemiNaiveSteadyStateRoundsAllocateNothing) {
       << "semi-naive rounds allocate: " << small << " -> " << large;
 }
 
+TEST(ClosureAllocTest, SemiNaiveExtendSteadyStateRoundsAllocateNothing) {
+  // The in-place continuation the IVM delta engine drives: the seed is the
+  // appended range [0, size) of an empty closed prefix.
+  auto run = [](const std::vector<LinearRule>& rules, const Database& db,
+                const Relation& q) -> Result<Relation> {
+    Relation result = q;
+    LINREC_RETURN_IF_ERROR(SemiNaiveExtend(rules, db, &result, 0));
+    return result;
+  };
+  std::size_t small = ChainClosureAllocations(128, run);
+  std::size_t large = ChainClosureAllocations(256, run);
+  EXPECT_LE(static_cast<std::ptrdiff_t>(large - small), kGrowthSlack)
+      << "semi-naive extend rounds allocate: " << small << " -> " << large;
+}
+
+TEST(ClosureAllocTest, JointSemiNaiveExtendSteadyStateRoundsAllocateNothing) {
+  // The same continuation through the joint entry point, one member.
+  auto run = [](const std::vector<LinearRule>& rules, const Database& db,
+                const Relation& q) -> Result<Relation> {
+    std::vector<JointRule> joint;
+    for (const LinearRule& lr : rules) {
+      joint.push_back(JointRule{lr.rule(), 0, lr.recursive_atom_index(), 0});
+    }
+    std::vector<Relation> rels = {q};
+    LINREC_RETURN_IF_ERROR(JointSemiNaiveExtend(
+        {rules.front().recursive_predicate()}, joint, db, &rels, {0}));
+    return std::move(rels.front());
+  };
+  std::size_t small = ChainClosureAllocations(128, run);
+  std::size_t large = ChainClosureAllocations(256, run);
+  EXPECT_LE(static_cast<std::ptrdiff_t>(large - small), kGrowthSlack)
+      << "joint extend rounds allocate: " << small << " -> " << large;
+}
+
 TEST(ClosureAllocTest, NaiveSteadyStateRoundsAllocateNothing) {
   auto run = [](const std::vector<LinearRule>& rules, const Database& db,
                 const Relation& q) { return NaiveClosure(rules, db, q); };
