@@ -13,8 +13,10 @@
 namespace linrec {
 namespace {
 
-/// Rules grouped per derived predicate (mirrors algebra/program_eval.cc —
-/// classification happens per strongly connected component).
+/// Rules grouped per derived predicate. Base vs recursive is decided per
+/// strongly connected component, not per rule: a rule of a mutually
+/// recursive predicate is recursive exactly when its body reads a member
+/// of the same component.
 struct PredicateRules {
   std::size_t arity = 0;
   std::vector<Rule> rules;
@@ -25,15 +27,6 @@ Relation Difference(const Relation& rel, const Relation& drop) {
   Relation out(rel.arity());
   for (TupleView t : rel) {
     if (!drop.Contains(t)) out.Insert(t);
-  }
-  return out;
-}
-
-std::string JoinNames(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& name : names) {
-    if (!out.empty()) out += ", ";
-    out += name;
   }
   return out;
 }
@@ -56,104 +49,86 @@ Result<std::map<std::string, PredicateRules>> GroupRules(
   return grouped;
 }
 
-/// Compiles one singleton component into a CompiledUnit: base rules kept
-/// for seeding, linear recursive rules prepared (seedless) through the
-/// shared planner.
-Status CompileSingleton(const std::string& pred, const PredicateRules& group,
-                        Planner& planner, CompiledProgram* out) {
-  CompiledUnit unit;
-  unit.members = {pred};
-  unit.arities = {group.arity};
-  unit.base_rules.resize(1);
-  for (const Rule& rule : group.rules) {
-    int occurrences = 0;
-    for (const Atom& atom : rule.body()) {
-      if (atom.predicate == pred) ++occurrences;
-    }
-    if (occurrences == 0) {
-      unit.base_rules[0].push_back(rule);
-      continue;
-    }
-    Result<LinearRule> lr = LinearRule::Make(rule);
-    if (!lr.ok()) {
-      return Status::InvalidArgument(StrCat("rule is not linear: ",
-                                            ToString(rule), " (",
-                                            lr.status().message(), ")"));
-    }
-    unit.linear.push_back(std::move(lr).value());
-  }
-  if (!unit.linear.empty()) {
-    Result<PreparedQuery> prepared =
-        planner.Prepare(Query::Closure(unit.linear));
-    if (!prepared.ok()) return prepared.status();
-    out->plan_explanations.push_back(
-        StrCat(pred, ":\n", prepared->plan().Explain()));
-    unit.closure = std::move(prepared).value();
-  }
-  out->unit_of[pred] = out->units.size();
-  out->member_of[pred] = 0;
-  out->units.push_back(std::move(unit));
-  return Status::OK();
-}
-
-/// Compiles one multi-member component: per member, rules reading no
-/// component predicate are base; rules reading exactly one become
-/// JointRules; more is non-linear recursion through the component.
+/// Compiles one strongly connected component of M >= 1 members into a
+/// CompiledUnit. One pass splits each member's rules: a rule whose body
+/// reads no component predicate is a base rule (kept for seeding, with its
+/// equalities eliminated here once); any other is recursive. A singleton
+/// closes through LinearRule/Query::Closure, so the commutativity analysis
+/// and the σ-bind fast path apply; a larger component closes jointly
+/// through Query::JointClosure, each rule reading exactly one member.
 Status CompileComponent(const std::vector<std::string>& members,
                         const std::map<std::string, PredicateRules>& rules,
                         Planner& planner, CompiledProgram* out) {
-  const std::set<std::string> member_set(members.begin(), members.end());
   std::map<std::string, int> member_index;
   for (std::size_t i = 0; i < members.size(); ++i) {
     member_index[members[i]] = static_cast<int>(i);
   }
 
   CompiledUnit unit;
-  unit.joint = true;
+  unit.joint = members.size() > 1;
   unit.members = members;
   unit.base_rules.resize(members.size());
   std::vector<JointRule> joint_rules;
   for (std::size_t mi = 0; mi < members.size(); ++mi) {
-    const std::string& pred = members[mi];
-    const PredicateRules& group = rules.at(pred);
+    const PredicateRules& group = rules.at(members[mi]);
     unit.arities.push_back(group.arity);
     for (const Rule& rule : group.rules) {
+      JointRule jr;
+      jr.head_member = static_cast<int>(mi);
       int member_atoms = 0;
-      for (const Atom& atom : rule.body()) {
-        if (member_set.count(atom.predicate) > 0) ++member_atoms;
+      for (std::size_t a = 0; a < rule.body().size(); ++a) {
+        auto it = member_index.find(rule.body()[a].predicate);
+        if (it == member_index.end()) continue;
+        if (member_atoms++ == 0) {
+          jr.recursive_atom = static_cast<int>(a);
+          jr.recursive_member = it->second;
+        }
       }
       if (member_atoms == 0) {
-        unit.base_rules[mi].push_back(rule);
+        if (!HasEqualities(rule)) {
+          unit.base_rules[mi].push_back(rule);
+          continue;
+        }
+        Result<std::optional<Rule>> eliminated = EliminateEqualities(rule);
+        if (!eliminated.ok()) return eliminated.status();
+        // Unsatisfiable equalities: the rule derives nothing.
+        if (eliminated->has_value()) {
+          unit.base_rules[mi].push_back(std::move(**eliminated));
+        }
+        continue;
+      }
+      if (!unit.joint) {
+        Result<LinearRule> lr = LinearRule::Make(rule);
+        if (!lr.ok()) {
+          return Status::InvalidArgument(StrCat("rule is not linear: ",
+                                                ToString(rule), " (",
+                                                lr.status().message(), ")"));
+        }
+        unit.linear.push_back(std::move(lr).value());
         continue;
       }
       if (member_atoms >= 2) {
         return Status::InvalidArgument(StrCat(
             "recursion through strongly connected component {",
-            JoinNames(members), "} is non-linear: rule ", ToString(rule),
+            Join(members, ", "), "} is non-linear: rule ", ToString(rule),
             " reads ", member_atoms,
             " component predicates (at most one recursive atom is "
             "supported)"));
       }
-      JointRule jr;
+      // Equality atoms are eliminated by the joint closure itself, which
+      // remaps recursive_atom.
       jr.rule = rule;
-      jr.head_member = static_cast<int>(mi);
-      for (std::size_t a = 0; a < rule.body().size(); ++a) {
-        auto it = member_index.find(rule.body()[a].predicate);
-        if (it != member_index.end()) {
-          jr.recursive_atom = static_cast<int>(a);
-          jr.recursive_member = it->second;
-          break;
-        }
-      }
       joint_rules.push_back(std::move(jr));
     }
   }
-  if (!joint_rules.empty()) {
-    Result<PreparedQuery> prepared =
-        planner.Prepare(Query::JointClosure(members, std::move(joint_rules)));
+
+  if (!unit.linear.empty() || !joint_rules.empty()) {
+    Result<PreparedQuery> prepared = planner.Prepare(
+        unit.joint ? Query::JointClosure(members, std::move(joint_rules))
+                   : Query::Closure(unit.linear));
     if (!prepared.ok()) return prepared.status();
     out->plan_explanations.push_back(
-        StrCat(JoinNames(members), ":\n", prepared->plan().Explain()));
+        StrCat(Join(members, ", "), ":\n", prepared->plan().Explain()));
     unit.closure = std::move(prepared).value();
   }
   for (std::size_t mi = 0; mi < members.size(); ++mi) {
@@ -211,20 +186,12 @@ Result<CompiledProgram> CompileProgram(const std::vector<Rule>& rules,
 
   for (const std::vector<int>& component :
        StronglyConnectedComponents(adjacency)) {
-    if (component.size() == 1) {
-      const std::string& pred =
-          names[static_cast<std::size_t>(component.front())];
-      LINREC_RETURN_IF_ERROR(
-          CompileSingleton(pred, grouped->at(pred), planner, &out));
-    } else {
-      std::vector<std::string> members;
-      members.reserve(component.size());
-      for (int id : component) {
-        members.push_back(names[static_cast<std::size_t>(id)]);
-      }
-      LINREC_RETURN_IF_ERROR(
-          CompileComponent(members, *grouped, planner, &out));
+    std::vector<std::string> members;
+    members.reserve(component.size());
+    for (int id : component) {
+      members.push_back(names[static_cast<std::size_t>(id)]);
     }
+    LINREC_RETURN_IF_ERROR(CompileComponent(members, *grouped, planner, &out));
   }
   return out;
 }
@@ -270,17 +237,25 @@ Status ProgramInstance::ValidateFact(const Atom& fact) const {
   return Status::OK();
 }
 
-Status ProgramInstance::AddFact(const Atom& fact) {
-  LINREC_RETURN_IF_ERROR(ValidateFact(fact));
-  Relation& rel = facts_.GetOrCreate(fact.predicate, fact.arity());
+Status ProgramInstance::AddFact(const Atom& fact) { return AddFacts({fact}); }
+
+Status ProgramInstance::AddFacts(const std::vector<Atom>& facts) {
+  Status status = Status::OK();
+  bool added = false;
   std::vector<Value> row;
-  row.reserve(fact.arity());
-  for (const Term& term : fact.terms) row.push_back(term.constant());
-  rel.InsertRow(row.data());
+  for (const Atom& fact : facts) {
+    status = ValidateFact(fact);
+    if (!status.ok()) break;
+    row.clear();
+    for (const Term& term : fact.terms) row.push_back(term.constant());
+    facts_.GetOrCreate(fact.predicate, fact.arity()).InsertRow(row.data());
+    added = true;
+  }
   // The fixpoints may grow: drop every materialized derived predicate (and
-  // the session engine's index cache entries over them) by rebuilding.
-  RebuildEngine();
-  return Status::OK();
+  // the session engine's index cache entries over them) by rebuilding —
+  // once per batch, since each rebuild copies every base fact.
+  if (added) RebuildEngine();
+  return status;
 }
 
 Result<std::vector<Relation>> ProgramInstance::SeedDeltas(
@@ -295,24 +270,17 @@ Result<std::vector<Relation>> ProgramInstance::SeedDeltas(
   for (std::size_t mi = 0; mi < unit.members.size(); ++mi) {
     for (const Rule& base : unit.base_rules[mi]) {
       LINREC_RETURN_IF_ERROR(CheckCancel(cancel));
-      Rule effective = base;
-      if (HasEqualities(base)) {
-        Result<std::optional<Rule>> eliminated = EliminateEqualities(base);
-        if (!eliminated.ok()) return eliminated.status();
-        if (!eliminated->has_value()) continue;
-        effective = std::move(**eliminated);
-      }
       // One run per body atom reading an updated predicate: that atom is
       // pinned to the delta, the rest read the full post-update database
       // (covering derivations that combine several new tuples; duplicate
       // derivations deduplicate on insert).
-      for (std::size_t i = 0; i < effective.body().size(); ++i) {
-        auto it = delta.find(effective.body()[i].predicate);
+      for (std::size_t i = 0; i < base.body().size(); ++i) {
+        auto it = delta.find(base.body()[i].predicate);
         if (it == delta.end()) continue;
         ApplyOptions options;
         options.overrides[static_cast<int>(i)] = &it->second;
         options.first_atom = static_cast<int>(i);
-        LINREC_RETURN_IF_ERROR(ApplyRule(effective, engine_->db(), options,
+        LINREC_RETURN_IF_ERROR(ApplyRule(base, engine_->db(), options,
                                          &out[mi], &stats,
                                          &engine_->index_cache()));
       }
@@ -478,10 +446,7 @@ Result<FactUpdateOutcome> ProgramInstance::DeleteFact(
           if (rel == nullptr) continue;
           Result<Relation> reseeded = SeedMember(unit, mi, cancel);
           if (!reseeded.ok()) return reseeded.status();
-          Relation removed(rel->arity());
-          for (TupleView t : *rel) {
-            if (!reseeded->Contains(t)) removed.Insert(t);
-          }
+          Relation removed = Difference(*rel, *reseeded);
           if (removed.empty()) continue;
           *rel = Difference(*rel, removed);
           deleted.emplace(unit.members[mi], std::move(removed));
@@ -498,11 +463,7 @@ Result<FactUpdateOutcome> ProgramInstance::DeleteFact(
         // recomputed over the post-delete database.
         Result<Relation> reseeded = SeedMember(unit, mi, cancel);
         if (!reseeded.ok()) return reseeded.status();
-        Relation gone(view.seed(mi).arity());
-        for (TupleView t : view.seed(mi)) {
-          if (!reseeded->Contains(t)) gone.Insert(t);
-        }
-        dd.seed_deletes.push_back(std::move(gone));
+        dd.seed_deletes.push_back(Difference(view.seed(mi), *reseeded));
       }
       Result<RetractOutcome> retracted =
           engine_->Retract(view, dd, cancel, budget);
@@ -562,14 +523,7 @@ Result<Relation> ProgramInstance::SeedMember(const CompiledUnit& unit,
   ClosureStats stats;
   for (const Rule& base : unit.base_rules[member]) {
     LINREC_RETURN_IF_ERROR(CheckCancel(cancel));
-    Rule effective = base;
-    if (HasEqualities(base)) {
-      Result<std::optional<Rule>> eliminated = EliminateEqualities(base);
-      if (!eliminated.ok()) return eliminated.status();
-      if (!eliminated->has_value()) continue;
-      effective = std::move(**eliminated);
-    }
-    LINREC_RETURN_IF_ERROR(ApplyRule(effective, engine_->db(), {}, &seed,
+    LINREC_RETURN_IF_ERROR(ApplyRule(base, engine_->db(), {}, &seed,
                                      &stats, &engine_->index_cache()));
   }
   totals_.Accumulate(stats);

@@ -83,8 +83,9 @@ class Planner {
 struct CompiledUnit {
   std::vector<std::string> members;
   std::vector<std::size_t> arities;
-  /// Per member: rules whose body reads no component predicate. They run
-  /// once, into the seed.
+  /// Per member: rules whose body reads no component predicate, with their
+  /// equalities eliminated at compile time (unsatisfiable ones dropped).
+  /// They run once, into the seed.
   std::vector<std::vector<Rule>> base_rules;
   /// Singleton only: the linear recursive rules (kept so σ-bind variants
   /// can be prepared on demand for point queries).
@@ -161,6 +162,11 @@ class ProgramInstance {
   /// every materialized derived predicate (the fixpoints may grow).
   /// Rejects facts for predicates the program derives.
   Status AddFact(const Atom& fact);
+
+  /// Adds ground facts in order, as AddFact does, but rebuilds the session
+  /// engine once for the whole batch. Stops at the first invalid fact and
+  /// returns its error; the facts before it stay added.
+  Status AddFacts(const std::vector<Atom>& facts);
 
   /// Adds one ground fact and maintains every materialized view
   /// incrementally (Engine::Apply): the new tuple's one-step consequences

@@ -127,12 +127,10 @@ void Server::HandleLoadEnd(Session& session, std::vector<std::string>* out) {
     }
     session.instance().SetProgram(std::move(compiled).value());
   }
-  for (const Atom& fact : parsed->facts) {
-    Status added = session.instance().AddFact(fact);
-    if (!added.ok()) {
-      out->push_back(FormatError(added));
-      return;
-    }
+  Status added = session.instance().AddFacts(parsed->facts);
+  if (!added.ok()) {
+    out->push_back(FormatError(added));
+    return;
   }
   out->push_back(StrCat("OK loaded rules=", parsed->rules.size(),
                         " facts=", parsed->facts.size(),

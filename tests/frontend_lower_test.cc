@@ -110,6 +110,12 @@ TEST(CompileProgramTest, RejectsNonLinearAndInconsistentArity) {
             "p(X) :- r(X).\n"),
       planner);
   EXPECT_EQ(arity.status().code(), StatusCode::kInvalidArgument);
+
+  // Base-rule equalities are eliminated at compile time, so a malformed
+  // equality atom fails the compile rather than the first query.
+  Result<CompiledProgram> equality = CompileProgram(
+      Rules("p(X) :- r(X), eq(X, X, X).\n"), planner);
+  EXPECT_EQ(equality.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ProgramInstanceTest, EvaluatesAndCachesThenInvalidatesOnNewFact) {
@@ -162,6 +168,45 @@ TEST(ProgramInstanceTest, RejectsBadFactsAndUnknownGoals) {
   ProgramInstance empty;
   EXPECT_EQ(empty.EvalQuery(Goal("?- tc(X, Y)."), planner).status().code(),
             StatusCode::kInvalidArgument);  // no program loaded
+}
+
+TEST(ProgramInstanceTest, AddFactsBatchMatchesOneByOneAndKeepsPrefix) {
+  Planner planner;
+  ProgramInstance one_by_one;
+  SetupChain(one_by_one, planner, 6);  // AddFact per edge 1→2→…→6
+
+  std::vector<Atom> edges;
+  for (int i = 1; i < 6; ++i) {
+    Atom fact;
+    fact.predicate = "edge";
+    fact.terms = {Term::MakeConst(i), Term::MakeConst(i + 1)};
+    edges.push_back(fact);
+  }
+  ProgramInstance batched;
+  SetupChain(batched, planner, 1);  // program only
+  ASSERT_TRUE(batched.AddFacts(edges).ok());
+  Result<QueryResult> expected =
+      one_by_one.EvalQuery(Goal("?- tc(X, Y)."), planner);
+  Result<QueryResult> got = batched.EvalQuery(Goal("?- tc(X, Y)."), planner);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->relation().size(), 15u);
+  EXPECT_EQ(got->relation().Sorted(), expected->relation().Sorted());
+
+  // An invalid fact mid-batch: the facts before it stay, the rest do not,
+  // and its error is returned.
+  Atom derived;
+  derived.predicate = "tc";
+  derived.terms = {Term::MakeConst(9), Term::MakeConst(9)};
+  std::vector<Atom> partial = {edges[0], edges[1], derived, edges[2]};
+  ProgramInstance prefix;
+  SetupChain(prefix, planner, 1);
+  EXPECT_EQ(prefix.AddFacts(partial).code(), StatusCode::kInvalidArgument);
+  Result<QueryResult> kept = prefix.EvalQuery(Goal("?- tc(X, Y)."), planner);
+  ASSERT_TRUE(kept.ok()) << kept.status();
+  EXPECT_EQ(kept->relation().size(), 3u);  // chain 1→2→3 only
+  EXPECT_TRUE(kept->relation().Contains({1, 3}));
+  EXPECT_FALSE(kept->relation().Contains({3, 4}));
 }
 
 TEST(ProgramInstanceTest, SigmaFastPathMatchesMaterializedAnswer) {
