@@ -1,20 +1,25 @@
 // bench_engine — the repo's perf trajectory harness.
 //
-// Self-contained driver (no google-benchmark dependency): runs a fixed
-// strategy × workload matrix through linrec::Engine, times each cell, and
-// writes machine-readable results to BENCH_engine.json (path overridable
-// via argv[1]). CI runs this in Release mode, uploads the JSON as an
-// artifact, and diffs it against the previous push's artifact
-// (bench/bench_diff.py), so every commit leaves a comparable perf record
-// and large regressions fail the build.
+// The repo's one benchmark driver, and self-contained (it needs only the
+// linrec library): runs a fixed strategy × workload matrix through
+// linrec::Engine, times each cell, and writes machine-readable results to
+// BENCH_engine.json (path overridable via argv[1]). CI runs this in
+// Release mode, uploads the JSON as an artifact, and diffs it against the
+// previous push's artifact (bench/bench_diff.py), so every commit leaves a
+// comparable perf record and large regressions fail the build.
 //
 // The figure of merit is derivations/sec: Theorem 3.1 counts work in tuple
 // derivations, so throughput in derivations normalizes across strategies
-// that do different amounts of total work. Each row records the worker
-// count it ran with; the `meta` block records the host (hardware threads,
-// compiler, git sha) so cross-machine comparisons are interpretable —
-// worker counts above `hardware_concurrency` exercise the parallel
-// machinery without adding real parallelism.
+// that do different amounts of total work. Every row also records its
+// duplicate derivations, so the same_gen_decomposed / same_gen_direct pair
+// carries the Theorem 3.1 comparison (B*C* rederives no more than (B+C)*),
+// and the separable_select pair times σ pushed into a separable closure
+// against closure-then-select (Theorem 4.1). Rows that exist to measure one
+// strategy exit non-zero when the planner stops choosing it. Each row
+// records the worker count it ran with; the `meta` block records the host
+// (hardware threads, compiler, git sha) so cross-machine comparisons are
+// interpretable — worker counts above `hardware_concurrency` exercise the
+// parallel machinery without adding real parallelism.
 
 #include <algorithm>
 #include <chrono>
@@ -50,6 +55,7 @@ struct BenchResult {
   double wall_ms_mean = 0.0;
   double wall_ms_min = 0.0;
   std::size_t derivations = 0;  // per repetition
+  std::size_t duplicates = 0;   // per repetition
   double derivations_per_sec = 0.0;
   std::size_t result_size = 0;
   /// Measured same-binary run-to-run spread where it exceeds the default
@@ -64,9 +70,23 @@ LinearRule TC(const char* edge) {
   return *ParseLinearRule(text);
 }
 
+[[noreturn]] void Fatal(const char* what, const Status& status) {
+  std::fprintf(stderr, "FATAL %s: %s\n", what, status.ToString().c_str());
+  std::exit(1);
+}
+
+/// The value of `r`, or exit(1) naming `what`: a failed setup or query
+/// makes the record meaningless, so the driver never writes a partial one.
+template <typename T>
+T OrDie(Result<T> r, const char* what) {
+  if (!r.ok()) Fatal(what, r.status());
+  return std::move(r).value();
+}
+
 /// Times `r->reps` calls of `once` (after one untimed warmup) and fills
 /// the row's timing fields. `once` executes the query, fills
-/// r->derivations / r->result_size, and returns wall milliseconds.
+/// r->derivations / r->duplicates / r->result_size, and returns wall
+/// milliseconds.
 void TimeInto(BenchResult* r, const std::function<double()>& once) {
   once();  // warmup: builds parameter-relation indexes, touches the pages
   double total = 0.0;
@@ -85,7 +105,9 @@ void TimeInto(BenchResult* r, const std::function<double()>& once) {
 }
 
 /// Times `reps` executions of `bound` and fills a BenchResult row. Each
-/// repetition resets the engine stats so `derivations` is per-execution.
+/// repetition resets the engine stats so `derivations` and `duplicates` are
+/// per-execution; `result_size` sums every closed relation (one unless the
+/// query is joint).
 BenchResult Run(const std::string& workload, const std::string& strategy,
                 int n, Engine& engine, const BoundQuery& bound, int workers,
                 int reps) {
@@ -95,18 +117,16 @@ BenchResult Run(const std::string& workload, const std::string& strategy,
   r.n = n;
   r.workers = workers;
   r.reps = reps;
+  const std::string what = StrCat(workload, "/", strategy);
   TimeInto(&r, [&]() -> double {
     engine.ResetStats();
     auto start = std::chrono::steady_clock::now();
-    Result<QueryResult> out = engine.Execute(bound);
+    QueryResult out = OrDie(engine.Execute(bound), what.c_str());
     auto end = std::chrono::steady_clock::now();
-    if (!out.ok()) {
-      std::fprintf(stderr, "FATAL %s/%s: %s\n", workload.c_str(),
-                   strategy.c_str(), out.status().ToString().c_str());
-      std::exit(1);
-    }
     r.derivations = engine.stats().derivations;
-    r.result_size = out->relation().size();
+    r.duplicates = engine.stats().duplicates;
+    r.result_size = 0;
+    for (const Relation& rel : out.relations) r.result_size += rel.size();
     return std::chrono::duration<double, std::milli>(end - start).count();
   });
   return r;
@@ -114,16 +134,23 @@ BenchResult Run(const std::string& workload, const std::string& strategy,
 
 BenchResult RunQuery(const std::string& workload, int n, Engine& engine,
                      const Query& query, int reps) {
-  Result<PreparedQuery> prepared = engine.Prepare(query);
-  if (!prepared.ok()) {
-    std::fprintf(stderr, "FATAL planning %s: %s\n", workload.c_str(),
-                 prepared.status().ToString().c_str());
+  PreparedQuery prepared =
+      OrDie(engine.Prepare(query), ("planning " + workload).c_str());
+  BoundQuery bound = prepared.Bind();
+  if (query.has_seed()) bound.BindSeed(query.shared_seed());
+  return Run(workload, StrategyName(prepared.plan().strategy), n, engine,
+             bound, prepared.plan().parallel_workers, reps);
+}
+
+/// Exits non-zero unless the planner chose `want` for row `r`: the row
+/// exists to measure that strategy, and a silent fallback would record the
+/// wrong theorem's numbers.
+void ExpectStrategy(const BenchResult& r, Strategy want) {
+  if (r.strategy != StrategyName(want)) {
+    std::fprintf(stderr, "FATAL %s: planner chose %s, expected %s\n",
+                 r.workload.c_str(), r.strategy.c_str(), StrategyName(want));
     std::exit(1);
   }
-  BoundQuery bound = prepared->Bind();
-  if (query.has_seed()) bound.BindSeed(query.shared_seed());
-  return Run(workload, StrategyName(prepared->plan().strategy), n, engine,
-             bound, prepared->plan().parallel_workers, reps);
 }
 
 /// Seed relation {(i,i) : i ∈ 0..n-1 step `stride`}.
@@ -200,11 +227,12 @@ void WriteJson(const std::vector<BenchResult>& results, const char* path,
         "    {\"workload\": \"%s\", \"strategy\": \"%s\", \"n\": %d, "
         "\"workers\": %d, \"reps\": %d, \"wall_ms_mean\": %.3f, "
         "\"wall_ms_min\": %.3f, \"derivations\": %zu, "
-        "\"derivations_per_sec\": %.1f, \"result_size\": %zu, "
-        "\"noise_margin\": %.2f}%s\n",
+        "\"duplicates\": %zu, \"derivations_per_sec\": %.1f, "
+        "\"result_size\": %zu, \"noise_margin\": %.2f}%s\n",
         r.workload.c_str(), r.strategy.c_str(), r.n, r.workers, r.reps,
-        r.wall_ms_mean, r.wall_ms_min, r.derivations, r.derivations_per_sec,
-        r.result_size, r.noise_margin, i + 1 < results.size() ? "," : "");
+        r.wall_ms_mean, r.wall_ms_min, r.derivations, r.duplicates,
+        r.derivations_per_sec, r.result_size, r.noise_margin,
+        i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -255,20 +283,16 @@ int Main(int argc, char** argv) {
       options.parallel_workers = workers;
       Engine engine(std::move(db), options);
       Query q = Query::Closure({TC("e")}).From(SelfLoops(n, 1));
-      Result<PreparedQuery> prepared = engine.Prepare(q);
-      if (!prepared.ok()) {
-        std::fprintf(stderr, "FATAL planning governed_tc_chain: %s\n",
-                     prepared.status().ToString().c_str());
-        std::exit(1);
-      }
+      PreparedQuery prepared =
+          OrDie(engine.Prepare(q), "planning governed_tc_chain");
       MemoryBudget global(/*limit_bytes=*/std::size_t{1} << 40);
       QueryBudget budget(/*limit_bytes=*/std::size_t{1} << 40, &global);
       BoundQuery bound =
-          prepared->Bind().BindSeed(q.shared_seed()).WithBudget(&budget);
+          prepared.Bind().BindSeed(q.shared_seed()).WithBudget(&budget);
       results.push_back(Run("governed_tc_chain",
-                            StrategyName(prepared->plan().strategy), n,
-                            engine, bound,
-                            prepared->plan().parallel_workers, 3));
+                            StrategyName(prepared.plan().strategy), n,
+                            engine, bound, prepared.plan().parallel_workers,
+                            3));
     }
   }
 
@@ -307,47 +331,20 @@ int Main(int argc, char** argv) {
   // fixpoint (one Δ row-range per member predicate). ---
   {
     const int nodes = 96;
-    Result<JointWorkload> w =
-        MakeAlternatingReachability(nodes, nodes * 4, /*seed=*/29);
-    if (!w.ok()) {
-      std::fprintf(stderr, "FATAL mutual workload: %s\n",
-                   w.status().ToString().c_str());
-      std::exit(1);
-    }
+    JointWorkload w =
+        OrDie(MakeAlternatingReachability(nodes, nodes * 4, /*seed=*/29),
+              "mutual workload");
     EngineOptions serial;
     serial.parallel_workers = 1;
-    Engine engine(std::move(w->db), serial);
-    Query query =
-        Query::JointClosure(w->members, w->rules).FromSeeds(w->seeds);
-    Result<PreparedQuery> prepared = engine.Prepare(query);
-    if (!prepared.ok()) {
-      std::fprintf(stderr, "FATAL planning mutual_alt_reach: %s\n",
-                   prepared.status().ToString().c_str());
-      std::exit(1);
-    }
-    BoundQuery bound = prepared->Bind().BindSeeds(w->seeds);
-    BenchResult r;
-    r.workload = "mutual_alt_reach";
-    r.strategy = StrategyName(prepared->plan().strategy);
-    r.n = nodes;
-    r.workers = prepared->plan().parallel_workers;
-    r.reps = 3;
-    TimeInto(&r, [&]() -> double {
-      engine.ResetStats();
-      auto start = std::chrono::steady_clock::now();
-      Result<QueryResult> out = engine.Execute(bound);
-      auto end = std::chrono::steady_clock::now();
-      if (!out.ok()) {
-        std::fprintf(stderr, "FATAL mutual_alt_reach: %s\n",
-                     out.status().ToString().c_str());
-        std::exit(1);
-      }
-      r.derivations = engine.stats().derivations;
-      r.result_size = 0;
-      for (const Relation& rel : out->relations) r.result_size += rel.size();
-      return std::chrono::duration<double, std::milli>(end - start).count();
-    });
-    results.push_back(r);
+    Engine engine(std::move(w.db), serial);
+    PreparedQuery prepared =
+        OrDie(engine.Prepare(Query::JointClosure(w.members, w.rules)
+                                 .FromSeeds(w.seeds)),
+              "planning mutual_alt_reach");
+    results.push_back(Run("mutual_alt_reach",
+                          StrategyName(prepared.plan().strategy), nodes,
+                          engine, prepared.Bind().BindSeeds(w.seeds),
+                          prepared.plan().parallel_workers, 3));
   }
 
   // --- Same-generation pair: the planner decomposes into B*C* (Thm 3.1). ---
@@ -362,10 +359,35 @@ int Main(int argc, char** argv) {
     Query auto_q = Query::Closure(SameGenerationRules()).From(seed);
     results.push_back(
         RunQuery("same_gen_decomposed", width, engine, auto_q, 3));
+    ExpectStrategy(results.back(), Strategy::kDecomposed);
     Query direct = Query::Closure(SameGenerationRules())
                        .From(seed)
                        .Force(Strategy::kSemiNaive);
     results.push_back(RunQuery("same_gen_direct", width, engine, direct, 3));
+  }
+
+  // --- σ over a separable closure (Thm 4.1 / Alg 4.1): the planner pushes
+  // σ into the seed of the same-generation pair (position 0 is
+  // 1-persistent in the down rule), so the separable row only closes the
+  // selected node's cone; the semi-naive row computes the whole closure and
+  // selects after. Same answer, so equal result_size. ---
+  {
+    const int width = 64;
+    SameGenerationWorkload w =
+        MakeSameGeneration(/*layers=*/6, width, /*fanout=*/2, /*seed=*/5);
+    const Selection sigma{0, w.q.Sorted().front()[0]};
+    EngineOptions serial;
+    serial.parallel_workers = 1;
+    Engine engine(std::move(w.db), serial);
+    Query pushed =
+        Query::Closure(SameGenerationRules()).From(w.q).Select(sigma);
+    // ~1 ms a run: more reps keep the mean inside the default 20% gate.
+    results.push_back(
+        RunQuery("separable_select", width, engine, pushed, 20));
+    ExpectStrategy(results.back(), Strategy::kSeparable);
+    Query after = pushed;
+    after.Force(Strategy::kSemiNaive);
+    results.push_back(RunQuery("separable_select", width, engine, after, 5));
   }
 
   // --- The full serving path: LOAD + query through the linrecd front
@@ -406,6 +428,7 @@ int Main(int argc, char** argv) {
         std::exit(1);
       }
       r.derivations = session->instance().derivations();
+      r.duplicates = session->instance().totals().duplicates;
       result_rows = replies.size() - 3;  // minus OK, RESULT header, "."
       return std::chrono::duration<double, std::milli>(end - start).count();
     });
@@ -464,32 +487,19 @@ int Main(int argc, char** argv) {
         Database db;
         db.GetOrCreate("e", 2) = base;
         Engine engine(std::move(db), serial);
-        Result<PreparedQuery> prepared =
-            engine.Prepare(Query::Closure({TC("e")}));
-        if (!prepared.ok()) {
-          std::fprintf(stderr, "FATAL planning update_stream: %s\n",
-                       prepared.status().ToString().c_str());
-          std::exit(1);
-        }
-        Result<MaterializedView> view =
-            engine.Materialize(prepared->Bind().BindSeed(seed), {"tc"});
-        if (!view.ok()) {
-          std::fprintf(stderr, "FATAL materializing update_stream: %s\n",
-                       view.status().ToString().c_str());
-          std::exit(1);
-        }
+        PreparedQuery prepared =
+            OrDie(engine.Prepare(Query::Closure({TC("e")})),
+                  "planning update_stream");
+        MaterializedView view =
+            OrDie(engine.Materialize(prepared.Bind().BindSeed(seed), {"tc"}),
+                  "materializing update_stream");
         std::size_t added = 0;
         auto start = std::chrono::steady_clock::now();
         for (const Relation& batch : batches) {
           DeltaInsert delta;
           delta.param_inserts.emplace("e", batch);
-          Result<ApplyOutcome> out = engine.Apply(*view, delta);
-          if (!out.ok()) {
-            std::fprintf(stderr, "FATAL update_stream apply: %s\n",
-                         out.status().ToString().c_str());
-            std::exit(1);
-          }
-          added += out->added;
+          added += OrDie(engine.Apply(view, delta), "update_stream apply")
+                       .added;
         }
         auto end = std::chrono::steady_clock::now();
         maintained = added;
@@ -518,33 +528,20 @@ int Main(int argc, char** argv) {
         Database db;
         db.GetOrCreate("e", 2) = base;
         Engine engine(std::move(db), serial);
-        Result<PreparedQuery> prepared =
-            engine.Prepare(Query::Closure({TC("e")}));
-        if (!prepared.ok()) {
-          std::fprintf(stderr, "FATAL planning update_stream: %s\n",
-                       prepared.status().ToString().c_str());
-          std::exit(1);
-        }
+        PreparedQuery prepared =
+            OrDie(engine.Prepare(Query::Closure({TC("e")})),
+                  "planning update_stream");
         // The non-incremental consumer still pays the baseline closure
         // before the stream starts; keep it untimed like Materialize.
-        Result<QueryResult> baseline =
-            engine.Execute(prepared->Bind().BindSeed(seed));
-        if (!baseline.ok()) {
-          std::fprintf(stderr, "FATAL update_stream baseline: %s\n",
-                       baseline.status().ToString().c_str());
-          std::exit(1);
-        }
+        OrDie(engine.Execute(prepared.Bind().BindSeed(seed)),
+              "update_stream baseline");
         auto start = std::chrono::steady_clock::now();
         for (const Relation& batch : batches) {
           engine.db().FindMutable("e")->UnionWith(batch);
-          Result<QueryResult> out =
-              engine.Execute(prepared->Bind().BindSeed(seed));
-          if (!out.ok()) {
-            std::fprintf(stderr, "FATAL update_stream recompute: %s\n",
-                         out.status().ToString().c_str());
-            std::exit(1);
-          }
-          view_rows = out->relation().size();
+          view_rows = OrDie(engine.Execute(prepared.Bind().BindSeed(seed)),
+                            "update_stream recompute")
+                          .relation()
+                          .size();
         }
         auto end = std::chrono::steady_clock::now();
         r.derivations = maintained;
@@ -612,12 +609,8 @@ int Main(int argc, char** argv) {
     ApplyOptions options;
     options.overrides[lr.recursive_atom_index()] = &delta;
     options.first_atom = lr.recursive_atom_index();
-    Result<CompiledRule> compiled = CompileRule(lr.rule(), db, options);
-    if (!compiled.ok()) {
-      std::fprintf(stderr, "FATAL compiling probe_chain: %s\n",
-                   compiled.status().ToString().c_str());
-      std::exit(1);
-    }
+    CompiledRule compiled =
+        OrDie(CompileRule(lr.rule(), db, options), "compiling probe_chain");
     IndexCache cache;
     Relation out(2);
     const int inner = 16;  // rounds per timed repetition
@@ -632,14 +625,10 @@ int Main(int argc, char** argv) {
       auto start = std::chrono::steady_clock::now();
       for (int it = 0; it < inner; ++it) {
         out.Clear();
-        Status s = compiled->RunPartition(
+        Status s = compiled.RunPartition(
             delta.View(0, static_cast<RowId>(delta.size())), &out, &stats,
             &cache);
-        if (!s.ok()) {
-          std::fprintf(stderr, "FATAL probe_chain: %s\n",
-                       s.ToString().c_str());
-          std::exit(1);
-        }
+        if (!s.ok()) Fatal("probe_chain", s);
       }
       auto end = std::chrono::steady_clock::now();
       r.derivations = stats.derivations;
@@ -690,25 +679,19 @@ int Main(int argc, char** argv) {
         auto start = std::chrono::steady_clock::now();
         std::size_t total = 0;
         for (Value v : constants) {
-          Result<PreparedQuery> prepared =
+          PreparedQuery prepared = OrDie(
               one_shot.Prepare(Query::Closure(SameGenerationRules())
-                                   .Select(Selection{sigma0.position, v}));
-          if (!prepared.ok()) {
-            std::fprintf(stderr, "FATAL batch_sigma_sweep/one_shot: %s\n",
-                         prepared.status().ToString().c_str());
-            std::exit(1);
-          }
-          Result<QueryResult> out =
-              one_shot.Execute(prepared->Bind().BindSeed(one_shot_seed));
-          if (!out.ok()) {
-            std::fprintf(stderr, "FATAL batch_sigma_sweep/one_shot: %s\n",
-                         out.status().ToString().c_str());
-            std::exit(1);
-          }
-          total += out->relation().size();
+                                   .Select(Selection{sigma0.position, v})),
+              "batch_sigma_sweep/one_shot");
+          total += OrDie(one_shot.Execute(
+                             prepared.Bind().BindSeed(one_shot_seed)),
+                         "batch_sigma_sweep/one_shot")
+                       .relation()
+                       .size();
         }
         auto end = std::chrono::steady_clock::now();
         r.derivations = one_shot.stats().derivations;
+        r.duplicates = one_shot.stats().duplicates;
         r.result_size = total;
         return std::chrono::duration<double, std::milli>(end - start)
             .count();
@@ -720,18 +703,14 @@ int Main(int argc, char** argv) {
 
     auto sweep_prepared = [&](Engine& engine, const char* strategy,
                               int workers, bool batched) {
-      Result<PreparedQuery> prepared =
-          engine.Prepare(Query::Closure(SameGenerationRules())
-                             .SelectPosition(sigma0.position));
-      if (!prepared.ok()) {
-        std::fprintf(stderr, "FATAL preparing batch_sigma_sweep: %s\n",
-                     prepared.status().ToString().c_str());
-        std::exit(1);
-      }
+      PreparedQuery prepared =
+          OrDie(engine.Prepare(Query::Closure(SameGenerationRules())
+                                   .SelectPosition(sigma0.position)),
+                "preparing batch_sigma_sweep");
       auto seed = std::make_shared<const Relation>(w.q);
       std::vector<BoundQuery> batch;
       for (Value v : constants) {
-        batch.push_back(prepared->Bind(v).BindSeed(seed));
+        batch.push_back(prepared.Bind(v).BindSeed(seed));
       }
       BenchResult r;
       r.workload = "batch_sigma_sweep";
@@ -739,31 +718,26 @@ int Main(int argc, char** argv) {
       r.n = sweep;
       r.workers = workers;
       r.reps = 3;
+      const std::string what = StrCat("batch_sigma_sweep/", strategy);
       TimeInto(&r, [&]() -> double {
         engine.ResetStats();
         auto start = std::chrono::steady_clock::now();
         std::size_t total = 0;
         if (batched) {
-          Result<std::vector<QueryResult>> out = engine.ExecuteBatch(batch);
-          if (!out.ok()) {
-            std::fprintf(stderr, "FATAL batch_sigma_sweep/%s: %s\n",
-                         strategy, out.status().ToString().c_str());
-            std::exit(1);
+          for (const QueryResult& qr :
+               OrDie(engine.ExecuteBatch(batch), what.c_str())) {
+            total += qr.relation().size();
           }
-          for (const QueryResult& qr : *out) total += qr.relation().size();
         } else {
           for (const BoundQuery& bound : batch) {
-            Result<QueryResult> out = engine.Execute(bound);
-            if (!out.ok()) {
-              std::fprintf(stderr, "FATAL batch_sigma_sweep/%s: %s\n",
-                           strategy, out.status().ToString().c_str());
-              std::exit(1);
-            }
-            total += out->relation().size();
+            total += OrDie(engine.Execute(bound), what.c_str())
+                         .relation()
+                         .size();
           }
         }
         auto end = std::chrono::steady_clock::now();
         r.derivations = engine.stats().derivations;
+        r.duplicates = engine.stats().duplicates;
         r.result_size = total;
         return std::chrono::duration<double, std::milli>(end - start)
             .count();
@@ -780,14 +754,14 @@ int Main(int argc, char** argv) {
   }
 
   WriteJson(results, out_path, sweep_cache_hits, sweep_cache_misses);
-  std::printf("%-22s %-12s %6s %3s %12s %12s %16s %12s\n", "workload",
-              "strategy", "n", "w", "wall_ms", "wall_ms_min", "derivs/sec",
-              "result");
+  std::printf("%-22s %-12s %6s %3s %12s %12s %16s %10s %12s\n",
+              "workload", "strategy", "n", "w", "wall_ms", "wall_ms_min",
+              "derivs/sec", "dups", "result");
   for (const BenchResult& r : results) {
-    std::printf("%-22s %-12s %6d %3d %12.3f %12.3f %16.1f %12zu\n",
+    std::printf("%-22s %-12s %6d %3d %12.3f %12.3f %16.1f %10zu %12zu\n",
                 r.workload.c_str(), r.strategy.c_str(), r.n, r.workers,
                 r.wall_ms_mean, r.wall_ms_min, r.derivations_per_sec,
-                r.result_size);
+                r.duplicates, r.result_size);
   }
   std::printf("wrote %s\n", out_path);
   return 0;

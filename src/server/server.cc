@@ -7,16 +7,53 @@
 #include "datalog/parser.h"
 
 namespace linrec {
-namespace {
 
-/// Parses one FACT / "?-" clause through the full program parser.
-Result<Program> ParseClauseLine(const std::string& text) {
-  Result<Program> parsed = ParseProgram(text);
-  if (!parsed.ok()) return parsed.status();
-  return parsed;
-}
-
-}  // namespace
+// In STATS and METRICS reply order.
+const Server::Counter Server::kCounters[] = {
+    {"programs", "gauge",
+     [](const Server& s) { return static_cast<long>(s.registry_.size()); }},
+    {"program_hits", "counter",
+     [](const Server& s) { return static_cast<long>(s.registry_.hits()); }},
+    {"program_misses", "counter",
+     [](const Server& s) { return static_cast<long>(s.registry_.misses()); }},
+    {"plan_hits", "counter",
+     [](const Server& s) {
+       return static_cast<long>(s.planner_.plan_cache_hits());
+     }},
+    {"plan_misses", "counter",
+     [](const Server& s) {
+       return static_cast<long>(s.planner_.plan_cache_misses());
+     }},
+    {"queries_served", "counter",
+     [](const Server& s) { return s.queries_served_.load(); }},
+    {"queries_rejected", "counter",
+     [](const Server& s) { return s.queries_rejected_.load(); }},
+    {"queries_exhausted", "counter",
+     [](const Server& s) { return s.queries_exhausted_.load(); }},
+    {"queries_shed", "counter",
+     [](const Server& s) { return s.queries_shed_.load(); }},
+    {"ivm_applied", "counter",
+     [](const Server& s) { return s.ivm_applied_.load(); }},
+    {"ivm_retracted", "counter",
+     [](const Server& s) { return s.ivm_retracted_.load(); }},
+    {"ivm_rederived", "counter",
+     [](const Server& s) { return s.ivm_rederived_.load(); }},
+    {"pending", "gauge", [](const Server& s) { return s.pending_.load(); }},
+    {"mem_budget_used", "gauge",
+     [](const Server& s) {
+       return static_cast<long>(s.memory_budget_.used());
+     }},
+    {"mem_budget_limit", "gauge",
+     [](const Server& s) {
+       return static_cast<long>(s.memory_budget_.limit());
+     }},
+    {"mem_pressure", "gauge",
+     [](const Server& s) {
+       return s.memory_budget_.under_pressure() ? 1L : 0L;
+     }},
+    {"watchdog_cancels", "counter",
+     [](const Server& s) { return static_cast<long>(s.watchdog_.cancels()); }},
+};
 
 std::unique_ptr<Session> Server::NewSession() {
   const long id = next_session_.fetch_add(1);
@@ -53,7 +90,7 @@ Server::Action Server::HandleLine(Session& session, const std::string& line,
           Status::InvalidArgument("END outside a LOAD block")));
       return Action::kContinue;
     case RequestKind::kFact: {
-      Result<Program> parsed = ParseClauseLine(request->text);
+      Result<Program> parsed = ParseProgram(request->text);
       if (!parsed.ok()) {
         out->push_back(FormatError(parsed.status()));
         return Action::kContinue;
@@ -140,35 +177,40 @@ void Server::HandleLoadEnd(Session& session, std::vector<std::string>* out) {
   }
 }
 
-std::vector<Result<QueryResult>> Server::EvaluateGoals(
-    Session& session, const std::vector<Atom>& goals) {
-  if (goals.empty()) return {};
+Status Server::Admit(std::size_t goals) {
+  const long count = static_cast<long>(goals);
   // Overload shedding: while the global ledger sits in its pressure band,
   // new work is turned away with a retry hint instead of being admitted
   // only to die on a budget denial mid-round. The message leads with the
   // hint so the reply reads "ERR Unavailable retry_after_ms=<N> ...".
   if (memory_budget_.under_pressure()) {
-    queries_shed_.fetch_add(static_cast<long>(goals.size()));
-    const Status shed = Status::Unavailable(
+    queries_shed_.fetch_add(count);
+    return Status::Unavailable(
         StrCat("retry_after_ms=", limits_.retry_after_ms,
                " server under memory pressure (", memory_budget_.used(), "/",
                memory_budget_.limit(), " bytes in use)"));
-    return std::vector<Result<QueryResult>>(goals.size(),
-                                            Result<QueryResult>(shed));
   }
   // Admission: the whole batch is admitted or rejected atomically against
   // the global pending bound.
-  const long admitted = pending_.fetch_add(static_cast<long>(goals.size())) +
-                        static_cast<long>(goals.size());
-  if (admitted > static_cast<long>(limits_.max_pending)) {
-    pending_.fetch_sub(static_cast<long>(goals.size()));
-    queries_rejected_.fetch_add(static_cast<long>(goals.size()));
-    const Status rejected = Status::Unavailable(
+  if (pending_.fetch_add(count) + count >
+      static_cast<long>(limits_.max_pending)) {
+    pending_.fetch_sub(count);
+    queries_rejected_.fetch_add(count);
+    return Status::Unavailable(
         StrCat("retry_after_ms=", limits_.retry_after_ms,
                " server at capacity (", limits_.max_pending,
                " queries in flight)"));
+  }
+  return Status::OK();
+}
+
+std::vector<Result<QueryResult>> Server::EvaluateGoals(
+    Session& session, const std::vector<Atom>& goals) {
+  if (goals.empty()) return {};
+  const Status admitted = Admit(goals.size());
+  if (!admitted.ok()) {
     return std::vector<Result<QueryResult>>(goals.size(),
-                                            Result<QueryResult>(rejected));
+                                            Result<QueryResult>(admitted));
   }
 
   // Arm per-goal deadlines. Tokens live here (stable addresses) for the
@@ -243,7 +285,7 @@ void Server::SubmitQueryLines(Session& session,
   std::vector<Atom> goals;
   std::vector<std::size_t> goal_line;  // batch slot -> line index
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    Result<Program> parsed = ParseClauseLine(lines[i]);
+    Result<Program> parsed = ParseProgram(lines[i]);
     if (!parsed.ok()) {
       parse_errors[i] = parsed.status();
       continue;
@@ -298,7 +340,7 @@ void Server::HandleFactUpdate(Session& session, const std::string& text,
   // touches nothing — no fact lands, no view moves. (Groundness and arity
   // are re-checked by InsertFact/DeleteFact before their first mutation,
   // so that path is just as safe.)
-  Result<Program> parsed = ParseClauseLine(text);
+  Result<Program> parsed = ParseProgram(text);
   if (!parsed.ok()) {
     out->push_back(FormatError(parsed.status()));
     return;
@@ -314,22 +356,9 @@ void Server::HandleFactUpdate(Session& session, const std::string& text,
   // Maintenance is resource-governed exactly like a query: shed under
   // memory pressure, admitted against the pending bound, deadline-watched,
   // charged to the session and global budgets.
-  if (memory_budget_.under_pressure()) {
-    queries_shed_.fetch_add(1);
-    out->push_back(FormatError(Status::Unavailable(
-        StrCat("retry_after_ms=", limits_.retry_after_ms,
-               " server under memory pressure (", memory_budget_.used(), "/",
-               memory_budget_.limit(), " bytes in use)"))));
-    return;
-  }
-  const long admitted = pending_.fetch_add(1) + 1;
-  if (admitted > static_cast<long>(limits_.max_pending)) {
-    pending_.fetch_sub(1);
-    queries_rejected_.fetch_add(1);
-    out->push_back(FormatError(Status::Unavailable(
-        StrCat("retry_after_ms=", limits_.retry_after_ms,
-               " server at capacity (", limits_.max_pending,
-               " queries in flight)"))));
+  const Status admitted = Admit(1);
+  if (!admitted.ok()) {
+    out->push_back(FormatError(admitted));
     return;
   }
 
@@ -398,24 +427,9 @@ void Server::HandleSet(Session& session, const std::string& args,
 
 void Server::HandleStats(Session& session, std::vector<std::string>* out) {
   out->push_back("OK stats");
-  out->push_back(StrCat("programs=", registry_.size()));
-  out->push_back(StrCat("program_hits=", registry_.hits()));
-  out->push_back(StrCat("program_misses=", registry_.misses()));
-  out->push_back(StrCat("plan_hits=", planner_.plan_cache_hits()));
-  out->push_back(StrCat("plan_misses=", planner_.plan_cache_misses()));
-  out->push_back(StrCat("queries_served=", queries_served_.load()));
-  out->push_back(StrCat("queries_rejected=", queries_rejected_.load()));
-  out->push_back(StrCat("queries_exhausted=", queries_exhausted_.load()));
-  out->push_back(StrCat("queries_shed=", queries_shed_.load()));
-  out->push_back(StrCat("ivm_applied=", ivm_applied_.load()));
-  out->push_back(StrCat("ivm_retracted=", ivm_retracted_.load()));
-  out->push_back(StrCat("ivm_rederived=", ivm_rederived_.load()));
-  out->push_back(StrCat("pending=", pending_.load()));
-  out->push_back(StrCat("mem_budget_used=", memory_budget_.used()));
-  out->push_back(StrCat("mem_budget_limit=", memory_budget_.limit()));
-  out->push_back(
-      StrCat("mem_pressure=", memory_budget_.under_pressure() ? 1 : 0));
-  out->push_back(StrCat("watchdog_cancels=", watchdog_.cancels()));
+  for (const Counter& counter : kCounters) {
+    out->push_back(StrCat(counter.name, "=", counter.value(*this)));
+  }
   out->push_back(StrCat("session_queries=", session.queries_served()));
   out->push_back(
       StrCat("session_derivations=", session.instance().derivations()));
@@ -438,30 +452,10 @@ void Server::HandleMetrics(std::vector<std::string>* out) {
   // process, not one connection). Dot-terminated like every multi-line OK
   // payload; an HTTP front can strip the first and last line verbatim.
   out->push_back("OK metrics");
-  const auto emit = [out](const char* name, const char* type, long value) {
-    out->push_back(StrCat("# TYPE linrec_", name, " ", type));
-    out->push_back(StrCat("linrec_", name, " ", value));
-  };
-  emit("programs", "gauge", static_cast<long>(registry_.size()));
-  emit("program_hits", "counter", static_cast<long>(registry_.hits()));
-  emit("program_misses", "counter", static_cast<long>(registry_.misses()));
-  emit("plan_hits", "counter", static_cast<long>(planner_.plan_cache_hits()));
-  emit("plan_misses", "counter",
-       static_cast<long>(planner_.plan_cache_misses()));
-  emit("queries_served", "counter", queries_served_.load());
-  emit("queries_rejected", "counter", queries_rejected_.load());
-  emit("queries_exhausted", "counter", queries_exhausted_.load());
-  emit("queries_shed", "counter", queries_shed_.load());
-  emit("ivm_applied", "counter", ivm_applied_.load());
-  emit("ivm_retracted", "counter", ivm_retracted_.load());
-  emit("ivm_rederived", "counter", ivm_rederived_.load());
-  emit("pending", "gauge", pending_.load());
-  emit("mem_budget_used", "gauge", static_cast<long>(memory_budget_.used()));
-  emit("mem_budget_limit", "gauge",
-       static_cast<long>(memory_budget_.limit()));
-  emit("mem_pressure", "gauge", memory_budget_.under_pressure() ? 1 : 0);
-  emit("watchdog_cancels", "counter",
-       static_cast<long>(watchdog_.cancels()));
+  for (const Counter& counter : kCounters) {
+    out->push_back(StrCat("# TYPE linrec_", counter.name, " ", counter.type));
+    out->push_back(StrCat("linrec_", counter.name, " ", counter.value(*this)));
+  }
   out->push_back(".");
 }
 

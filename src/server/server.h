@@ -103,7 +103,23 @@ class Server {
   }
 
  private:
+  /// One server-wide counter. STATS prints it as `name=value` and METRICS
+  /// as the Prometheus sample `linrec_<name> value`; both walk kCounters,
+  /// so the two verbs always report the same set.
+  struct Counter {
+    const char* name;
+    const char* type;  // Prometheus metric type: "counter" or "gauge"
+    long (*value)(const Server&);
+  };
+  static const Counter kCounters[];
+
   void HandleLoadEnd(Session& session, std::vector<std::string>* out);
+  /// The one admission step for queries and fact updates: sheds under
+  /// memory pressure, then admits `goals` units against the pending bound.
+  /// OK means they now count as pending until the caller subtracts them;
+  /// otherwise the Unavailable status to reply with, with queries_shed_ or
+  /// queries_rejected_ already bumped.
+  Status Admit(std::size_t goals);
   /// The shared evaluation core: admission control, per-goal deadline
   /// tokens, EvalQueries. One Result per goal (Unavailable on rejection).
   std::vector<Result<QueryResult>> EvaluateGoals(Session& session,

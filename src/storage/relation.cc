@@ -61,7 +61,7 @@ bool Relation::InsertHashed(const Value* row, std::size_t hash) {
          "relation exceeds RowId capacity");
   // Growth happens before any mutation, so a denied charge (or injected
   // allocation fault) leaves the relation exactly as it was.
-  if (pool_.size() + arity_ > pool_.capacity()) GrowPool(pool_.size() + arity_);
+  if (PoolNeedsGrowth(pool_.size() + arity_)) GrowPool(pool_.size() + arity_);
   if (hashes_.size() == hashes_.capacity()) GrowHashes(hashes_.size() + 1);
   RowId id = static_cast<RowId>(row_count_++);
   pool_.insert(pool_.end(), row, row + arity_);
@@ -140,7 +140,8 @@ void Relation::Reserve(std::size_t rows) {
   // Grow geometrically past the request: vector::reserve allocates exactly
   // what is asked, so a closure loop reserving `current + Δ` every round
   // would otherwise reallocate (and copy the whole pool) every round.
-  if (rows * arity_ > pool_.capacity()) GrowPool(rows * arity_);
+  // Reserve(0) allocates nothing: an empty pool is never scanned.
+  if (rows != 0 && PoolNeedsGrowth(rows * arity_)) GrowPool(rows * arity_);
   if (rows > hashes_.capacity()) GrowHashes(rows);
   // Size the table so `rows` insertions stay under the 7/8 growth trigger.
   std::size_t needed = NextPow2(rows * 8 / 7 + 1);

@@ -307,6 +307,13 @@ class Relation {
     const std::size_t block = simd::kPadRows * arity;
     return (values + block - 1) / block * block + block;
   }
+  /// True when holding `values` pool values would leave less than one pad
+  /// block free. Rows must never fill the extra block PaddedPoolCapacity
+  /// reserves, or the scan's tail load reads past the allocation; every
+  /// path that appends to the pool grows on this test.
+  bool PoolNeedsGrowth(std::size_t values) const {
+    return values + simd::kPadRows * arity_ > pool_.capacity();
+  }
   template <bool kSimd>
   Relation WhereEqualsKernel(int position, Value value,
                              ScanCounters* counters) const;

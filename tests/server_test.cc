@@ -364,6 +364,33 @@ TEST(ServerTest, MetricsExportPrometheusTextFormat) {
   }
 }
 
+TEST(ServerTest, MetricsSamplesMatchStatsLines) {
+  Server server;
+  auto session = server.NewSession();
+  Load(server, *session, kTcProgram);
+  Drive(server, *session,
+        {"?- tc(X, Y).", "INSERT edge(4, 5).", "DELETE edge(1, 2)."});
+
+  const std::vector<std::string> metrics =
+      Drive(server, *session, {"METRICS"});
+  const std::vector<std::string> stats = Drive(server, *session, {"STATS"});
+  const std::string prefix = "linrec_";
+  std::size_t samples = 0;
+  for (const std::string& line : metrics) {
+    if (line.rfind(prefix, 0) != 0) continue;
+    const std::size_t space = line.find(' ');
+    ASSERT_NE(space, std::string::npos) << line;
+    const std::string stat =
+        StrCat(line.substr(prefix.size(), space - prefix.size()), "=",
+               line.substr(space + 1));
+    EXPECT_NE(std::find(stats.begin(), stats.end(), stat), stats.end())
+        << "METRICS sample '" << line << "' has no STATS line '" << stat
+        << "'";
+    ++samples;
+  }
+  EXPECT_EQ(samples, 17u);
+}
+
 /// The tentpole acceptance test: N concurrent sessions submit the same TC
 /// program and query it; the program compiles exactly once (one registry
 /// miss, one planner plan-cache miss for the closure), and every session

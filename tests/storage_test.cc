@@ -243,6 +243,45 @@ TEST(RelationTest, WhereEqualsFiltersOneColumn) {
   EXPECT_EQ(empty.WhereEquals(2, 0).arity(), 3u);
 }
 
+// The σ scan loads its tail block whole, and for arity 2 that load reaches
+// one value past the rounded row count. Around the 32-row growth boundary
+// every column of every small arity must scan cleanly (ASan flags an
+// over-read) and agree with the scalar kernel, whichever path filled the
+// pool: row inserts, a Reserve up front, or a copy.
+TEST(RelationTest, WhereEqualsTailStaysInsideThePool) {
+  for (std::size_t arity = 1; arity <= 3; ++arity) {
+    for (Value rows = 33; rows <= 40; ++rows) {
+      Relation inserted(arity);
+      Relation reserved(arity);
+      reserved.Reserve(static_cast<std::size_t>(rows));
+      for (Value i = 0; i < rows; ++i) {
+        std::vector<Value> values;
+        for (std::size_t c = 0; c < arity; ++c) {
+          values.push_back(i + 1000 * static_cast<Value>(c));
+        }
+        const Tuple t(std::move(values));
+        inserted.Insert(t);
+        reserved.Insert(t);
+      }
+      const Relation copied = inserted;
+      const Relation* fills[] = {&inserted, &reserved, &copied};
+      for (const Relation* r : fills) {
+        for (std::size_t c = 0; c < arity; ++c) {
+          const int column = static_cast<int>(c);
+          const Value last = rows - 1 + 1000 * static_cast<Value>(c);
+          SCOPED_TRACE(testing::Message() << "arity=" << arity
+                                          << " rows=" << rows
+                                          << " column=" << column);
+          EXPECT_EQ(r->WhereEquals(column, last).size(), 1u);
+          EXPECT_EQ(r->WhereEquals(column, last),
+                    r->WhereEqualsScalar(column, last));
+          EXPECT_TRUE(r->WhereEquals(column, -1).empty());
+        }
+      }
+    }
+  }
+}
+
 TEST(RelationTest, PartitionViewCoversRowRanges) {
   Relation r(2);
   for (Value i = 0; i < 10; ++i) r.Insert({i, i});
