@@ -440,13 +440,16 @@ int Main(int argc, char** argv) {
   // live insert stream. One materialized tc closure over a random base
   // graph; kBatches batches of fresh edges arrive; the ivm_apply row
   // extends the view in place with Engine::Apply (delta rules + the
-  // semi-naive resume), the recompute row re-executes the full closure
-  // after every batch. derivations := maintained tuples — the rows the
-  // stream added to the view, identical for both strategies by
-  // construction — so derivations_per_sec is maintained-tuples/sec and
-  // the ivm_apply : recompute ratio is the IVM speedup the acceptance
-  // bar gates (>= 5x). Setup (engine, base materialization) is untimed:
-  // the rows measure steady-state update cost only. ---
+  // semi-naive resume), the ivm_retract row deletes the same batches back
+  // out with Engine::Retract (DRed), and the recompute row re-executes the
+  // full closure after every batch. derivations := maintained tuples —
+  // the rows the stream added to the view, which the retractions remove
+  // again, identical for every strategy by construction — so
+  // derivations_per_sec is maintained-tuples/sec and the ivm_apply :
+  // recompute ratio is the IVM speedup the acceptance bar gates (>= 5x).
+  // Setup (engine, base materialization, and for ivm_retract the
+  // inserts) is untimed: the rows measure steady-state update cost only.
+  // ---
   {
     const int nodes = 192;
     const int kBatches = 8;
@@ -473,7 +476,8 @@ int Main(int argc, char** argv) {
     EngineOptions serial;
     serial.parallel_workers = 1;
 
-    std::size_t maintained = 0;  // filled by ivm_apply, reused by recompute
+    // Filled by ivm_apply; checked by ivm_retract, reused by recompute.
+    std::size_t maintained = 0;
 
     {
       BenchResult r;
@@ -512,6 +516,58 @@ int Main(int argc, char** argv) {
       // Measured: ~5 ms walls on the single-core record host swing well
       // past the default 20% gate run-to-run (within-run mean/min spread
       // alone is ~30%); same widened margin as tc_random.
+      r.noise_margin = 0.50;
+      results.push_back(r);
+    }
+
+    {
+      BenchResult r;
+      r.workload = "update_stream";
+      r.strategy = "ivm_retract";
+      r.n = nodes;
+      r.workers = 1;
+      r.reps = 5;
+      std::size_t view_rows = 0;
+      TimeInto(&r, [&]() -> double {
+        Database db;
+        db.GetOrCreate("e", 2) = base;
+        Engine engine(std::move(db), serial);
+        PreparedQuery prepared =
+            OrDie(engine.Prepare(Query::Closure({TC("e")})),
+                  "planning update_stream");
+        MaterializedView view =
+            OrDie(engine.Materialize(prepared.Bind().BindSeed(seed), {"tc"}),
+                  "materializing update_stream");
+        for (const Relation& batch : batches) {
+          DeltaInsert delta;
+          delta.param_inserts.emplace("e", batch);
+          OrDie(engine.Apply(view, delta), "update_stream apply");
+        }
+        std::size_t removed = 0;
+        auto start = std::chrono::steady_clock::now();
+        for (const Relation& batch : batches) {
+          DeltaDelete delta;
+          delta.param_deletes.emplace("e", batch);
+          removed += OrDie(engine.Retract(view, delta), "update_stream retract")
+                         .removed_count;
+        }
+        auto end = std::chrono::steady_clock::now();
+        // Retracting every batch must remove exactly what applying them
+        // added: anything else is a wrong view, not a slow one.
+        if (removed != maintained) {
+          std::fprintf(stderr,
+                       "FATAL update_stream/ivm_retract: removed %zu tuples, "
+                       "ivm_apply added %zu\n",
+                       removed, maintained);
+          std::exit(1);
+        }
+        r.derivations = removed;
+        view_rows = engine.db().Find("tc")->size();
+        return std::chrono::duration<double, std::milli>(end - start)
+            .count();
+      });
+      r.result_size = view_rows;
+      // Same measured spread and margin as ivm_apply.
       r.noise_margin = 0.50;
       results.push_back(r);
     }

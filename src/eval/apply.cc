@@ -33,14 +33,20 @@ struct JoinStep {
   // Positions that must equal an earlier position of this same atom
   // (repeated new variable within the atom): (position, variable).
   std::vector<std::pair<int, VarId>> check_positions;
+  // The key binds every position, so the key IS the row (key positions
+  // are in position order): the step is a membership test, answered by
+  // the relation's own dedup table instead of a full-key HashIndex.
+  bool membership = false;
 };
 
 /// Per-depth cursor of the iterative join loop: the candidate row-id span
 /// (nullptr ⇒ scan of [next, limit) row ids) and the next candidate.
+/// `member` is the span a membership step points `rows` at.
 struct JoinFrame {
   const RowId* rows = nullptr;
   std::size_t next = 0;
   std::size_t limit = 0;
+  RowId member = 0;
 };
 
 }  // namespace
@@ -200,6 +206,8 @@ Result<CompiledRule> CompileRule(const Rule& rule, const Database& db,
       }
     }
     bound = bound_here;
+    step.membership = !atom.terms.empty() &&
+                      step.key_positions.size() == atom.terms.size();
     max_key_len = std::max(max_key_len, step.key_positions.size());
     impl.steps.push_back(std::move(step));
   }
@@ -253,12 +261,14 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
   // Re-resolve indexes through the cache: relations may have grown since
   // the last Run (the Δ-carrying relation does every round); the cache
   // rebuilds exactly the stale ones. The partitioned first step never uses
-  // an index — it range-scans its slice and checks constants per row.
+  // an index — it range-scans its slice and checks constants per row — and
+  // a membership step probes its relation's dedup table instead.
   IndexCache local_cache;
   IndexCache* idx = cache != nullptr ? cache : &local_cache;
   for (std::size_t d = 0; d < steps.size(); ++d) {
     const bool partitioned_first = delta != nullptr && d == 0;
-    indexes[d] = (!partitioned_first && !steps[d].key_positions.empty())
+    indexes[d] = (!partitioned_first && !steps[d].membership &&
+                  !steps[d].key_positions.empty())
                      ? &idx->Get(*steps[d].relation, steps[d].key_positions)
                      : nullptr;
   }
@@ -308,6 +318,17 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
     // as the dedup rehash batch prefetch (storage/relation.cc).
     constexpr std::size_t kProbePrefetch = 8;
 
+    // Gathers a step's key from its constants and the current binding,
+    // counting the probe it is gathered for.
+    auto fill_key = [&](const JoinStep& step) {
+      const auto& parts = step.key_parts;
+      for (std::size_t k = 0; k < parts.size(); ++k) {
+        key_buf[k] = parts[k].is_const
+                         ? parts[k].constant
+                         : binding[static_cast<std::size_t>(parts[k].var)];
+      }
+      ++probes_issued;
+    };
     // Positions the candidate cursor at `depth`, resolving the step's
     // index bucket from the current binding (no candidates ⇒ limit 0).
     auto enter = [&](std::size_t depth) {
@@ -315,13 +336,7 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
       JoinFrame& f = frames[depth];
       f.next = 0;
       if (indexes[depth] != nullptr) {
-        const auto& parts = step.key_parts;
-        for (std::size_t k = 0; k < parts.size(); ++k) {
-          key_buf[k] = parts[k].is_const
-                           ? parts[k].constant
-                           : binding[static_cast<std::size_t>(parts[k].var)];
-        }
-        ++probes_issued;
+        fill_key(step);
         RowSpan span = indexes[depth]->Lookup(key_buf.data());
         f.rows = span.ids;
         f.limit = span.count;
@@ -336,6 +351,12 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
         f.rows = nullptr;  // partitioned: scan the Δ slice only
         f.next = delta->begin;
         f.limit = delta->end;
+      } else if (step.membership) {
+        // The same probe and 0-or-1-row span a full-key index would give.
+        fill_key(step);
+        f.member = step.relation->RowIdOf(key_buf.data());
+        f.rows = &f.member;
+        f.limit = f.member == Relation::kNoRow ? 0 : 1;
       } else {
         f.rows = nullptr;  // no bound position: scan the whole relation
         f.limit = step.relation->size();

@@ -149,6 +149,7 @@ class RoundExecutor {
       lane.compiled.reserve(rules_->size());
       for (const JointRule& jr : *rules_) {
         ApplyOptions options;
+        options.overrides = jr.pinned;
         options.overrides[jr.recursive_atom] =
             inputs_[static_cast<std::size_t>(jr.recursive_member)];
         options.first_atom = jr.recursive_atom;

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/cancel.h"
@@ -41,6 +42,14 @@ struct JointRule {
   int head_member = -1;
   int recursive_atom = -1;
   int recursive_member = -1;
+  /// Body atoms that read a caller-owned relation instead of `db` (atom
+  /// index → relation, as in ApplyOptions::overrides). Empty for program
+  /// rules; the IVM delete path pins its suspect guards here, so a guarded
+  /// closure runs over the engine database without copying it. The
+  /// relations must outlive the closure call, and a rule with pinned
+  /// atoms must carry no equality atoms (eliminating them renumbers the
+  /// body; PrepareJointRules remaps only `recursive_atom`).
+  std::unordered_map<int, const Relation*> pinned = {};
 };
 
 /// The joint boundary validation, shared by Query::Validate and the

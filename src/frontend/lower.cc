@@ -22,15 +22,6 @@ struct PredicateRules {
   std::vector<Rule> rules;
 };
 
-/// Rows of `rel` absent from `drop`, in `rel`'s insertion order.
-Relation Difference(const Relation& rel, const Relation& drop) {
-  Relation out(rel.arity());
-  for (TupleView t : rel) {
-    if (!drop.Contains(t)) out.Insert(t);
-  }
-  return out;
-}
-
 Result<std::map<std::string, PredicateRules>> GroupRules(
     const std::vector<Rule>& rules) {
   std::map<std::string, PredicateRules> grouped;
@@ -420,13 +411,19 @@ Result<FactUpdateOutcome> ProgramInstance::DeleteFact(
   out.removed = true;
   Relation drop(fact.arity());
   drop.InsertRow(row.data());
-  Relation facts_backup = *frel;
+  // Rows of `rel` that the re-seeded `kept` no longer holds.
+  auto lost = [](const Relation& rel, const Relation& kept) {
+    Relation gone(rel.arity());
+    for (TupleView t : rel) {
+      if (!kept.Contains(t)) gone.Insert(t);
+    }
+    return gone;
+  };
 
   ScopedQueryBudget budget_scope(budget);
   Status status = GuardAllocFailures([&]() -> Status {
-    *frel = Difference(*frel, drop);
     if (Relation* dbrel = engine_->db().FindMutable(fact.predicate)) {
-      if (dbrel->ContainsRow(row.data())) *dbrel = Difference(*dbrel, drop);
+      dbrel->EraseRows(drop);
     }
     if (program_ == nullptr || materialized_ == 0) return Status::OK();
 
@@ -446,9 +443,9 @@ Result<FactUpdateOutcome> ProgramInstance::DeleteFact(
           if (rel == nullptr) continue;
           Result<Relation> reseeded = SeedMember(unit, mi, cancel);
           if (!reseeded.ok()) return reseeded.status();
-          Relation removed = Difference(*rel, *reseeded);
+          Relation removed = lost(*rel, *reseeded);
           if (removed.empty()) continue;
-          *rel = Difference(*rel, removed);
+          rel->EraseRows(removed);
           deleted.emplace(unit.members[mi], std::move(removed));
         }
         continue;
@@ -463,7 +460,7 @@ Result<FactUpdateOutcome> ProgramInstance::DeleteFact(
         // recomputed over the post-delete database.
         Result<Relation> reseeded = SeedMember(unit, mi, cancel);
         if (!reseeded.ok()) return reseeded.status();
-        dd.seed_deletes.push_back(Difference(view.seed(mi), *reseeded));
+        dd.seed_deletes.push_back(lost(view.seed(mi), *reseeded));
       }
       Result<RetractOutcome> retracted =
           engine_->Retract(view, dd, cancel, budget);
@@ -482,15 +479,17 @@ Result<FactUpdateOutcome> ProgramInstance::DeleteFact(
   });
 
   if (!status.ok()) {
-    // Deletion mutates by whole-relation swap, not append, so the cheap
-    // truncation rollback does not apply: restore the base fact and
-    // rebuild the session engine from the restored facts (materialized
-    // views recompute lazily on the next query). Correctness over
-    // cleverness on this rare path.
-    *facts_.FindMutable(fact.predicate) = std::move(facts_backup);
+    // Deletion erases rows, so the cheap truncation rollback does not
+    // apply: rebuild the session engine from the base facts, which still
+    // hold the fact (materialized views recompute lazily on the next
+    // query). Correctness over cleverness on this rare path.
     RebuildEngine();
     return status;
   }
+  // Erased from the base facts only now: the cascade above re-seeds
+  // derived members from facts_, never reading the fact's own (base)
+  // predicate, and a failure leaves facts_ untouched.
+  frel->EraseRows(drop);
   ivm_retracts_ += out.views_retracted;
   ivm_rederived_ += out.rederived;
   return out;

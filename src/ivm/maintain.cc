@@ -14,7 +14,10 @@
 // back to the recorded sizes, which restores the exact pre-call bytes (and
 // cannot itself fail: same-size rehash never charges the budget).
 //
-// Retract is the delete half — delete-and-rederive (DRed):
+// Retract is the delete half — delete-and-rederive (DRed; Gupta, Mumick &
+// Subrahmanian, SIGMOD 1993), with every step after the suspect closure
+// bounded by the suspects rather than the view (when the suspects are at
+// least half the view, the survivors are read instead — no more rows):
 //   1. Over-delete: close the set of DIRECTLY damaged tuples (deleted
 //      seed tuples, plus heads of derivations consuming a deleted
 //      parameter tuple) under the rules — linearity makes "derivable
@@ -22,17 +25,25 @@
 //      the suspect set D is computed by JointSemiNaiveClosure over the
 //      suspects.
 //   2. Re-derive: the survivors closed \ D are sound (none of their
-//      derivations touched a deleted tuple). Re-seed with the deleted-
-//      then-still-present seed tuples and every one-step head derivable
-//      from the survivors over the POST-delete database, intersected
-//      into D, and resume the fixpoint in place. The result equals the
-//      from-scratch closure of the new seed over the new database: any
-//      tuple of that closure has a minimal derivation chain, and
-//      induction along the chain lands it either in the survivors or in
-//      the re-derivation frontier.
-// The rebuilt relations replace the view only at commit; the only
-// in-place mutation before commit is the parameter filtering, which
-// keeps the displaced originals for restore-on-failure.
+//      derivations touched a deleted tuple), and they stay where they
+//      are. Linearity makes "re-derivable in one step from a survivor" a
+//      single join per suspect: each delta rule runs with a guard atom
+//      over its head pinned to D and scanned first, emitting (head,
+//      recursive tuple) pairs, and a pair whose recursive tuple lies in D
+//      is dropped. Those heads plus the suspects still in the seed form
+//      the frontier, which JointSemiNaiveExtend closes with every rule
+//      guarded by D (a head outside D is a survivor already in the view).
+//      When D is at least half the view the rounds start from a copy of
+//      the survivors instead, unguarded, and the first round derives the
+//      frontier. The re-derived set equals D ∩ the from-scratch closure
+//      of the new seed over the new database: any tuple of that closure
+//      has a minimal derivation chain, and induction along the chain
+//      lands it either in the survivors, in the frontier or in a round.
+//   3. Commit: erase D minus the re-derived set from the view, and the
+//      deleted seed tuples from the seed, in place (Relation::EraseRows —
+//      order-preserving, allocation-free, so the commit cannot fail).
+// The only mutation before commit is the parameter erasure, which keeps
+// copies of the originals for restore-on-failure.
 
 #include <cstddef>
 #include <map>
@@ -71,14 +82,23 @@ ViewRules RulesOf(const ExecutionPlan& plan, bool joint) {
   return out;
 }
 
-/// Rows of `rel` absent from `drop`, in `rel`'s insertion order.
-Relation Difference(const Relation& rel, const Relation& drop) {
-  if (drop.empty()) return rel;
-  Relation out(rel.arity());
-  for (TupleView t : rel) {
-    if (!drop.Contains(t)) out.Insert(t);
+/// `jr.rule` with one more body atom, appended last: the guard, over the
+/// head's terms. Pinned to a relation, it restricts the rule to the heads
+/// that relation holds. With `pair` the head also carries the recursive
+/// atom's terms, so each derivation reports the tuple it consumed. The
+/// guard's predicate name is not a valid identifier, so it never collides
+/// with a member or a database relation.
+Rule GuardedRule(const JointRule& jr, bool pair) {
+  const Rule& rule = jr.rule;
+  Atom head = rule.head();
+  std::vector<Atom> body = rule.body();
+  body.push_back(Atom{"$guard", rule.head().terms});
+  if (pair) {
+    const Atom& rec = rule.body()[static_cast<std::size_t>(jr.recursive_atom)];
+    head.predicate = "$pair";
+    head.terms.insert(head.terms.end(), rec.terms.begin(), rec.terms.end());
   }
-  return out;
+  return Rule(std::move(head), std::move(body), rule.var_names());
 }
 
 }  // namespace
@@ -355,9 +375,9 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
 
   const int workers = plan.parallel_workers > 0 ? plan.parallel_workers : 1;
 
-  // Parameter relations whose rows this call filtered out, with the
-  // displaced originals — the rollback state (everything else mutates only
-  // at commit, by whole-relation swap).
+  // Parameter relations whose rows this call erased, with copies of the
+  // originals — the rollback state (the view and the seeds mutate only at
+  // commit, by erasures that cannot fail).
   std::vector<std::pair<Relation*, Relation>> displaced;
 
   ScopedQueryBudget budget_scope(budget != nullptr ? budget
@@ -437,11 +457,12 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
             rules.members, rules.rules, db_, suspects0, &out.stats, &cache_,
             workers, cancel);
         if (!closed_suspects.ok()) return closed_suspects.status();
-        std::vector<Relation> suspects = std::move(closed_suspects).value();
+        const std::vector<Relation> suspects =
+            std::move(closed_suspects).value();
 
-        // 2. Filter the deleted parameter tuples out of the database,
-        // keeping the displaced originals for restore-on-failure. From
-        // here on the database is post-delete.
+        // 2. Erase the deleted parameter tuples from the database, keeping
+        // a copy of each original for restore-on-failure. From here on the
+        // database is post-delete.
         for (const auto& [pred, rel] : delta.param_deletes) {
           Relation* slot = db_.FindMutable(pred);
           if (slot == nullptr) continue;
@@ -453,91 +474,114 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
             }
           }
           if (!any) continue;
-          Relation filtered = Difference(*slot, rel);
-          displaced.emplace_back(slot, std::move(*slot));
-          *slot = std::move(filtered);
+          displaced.emplace_back(slot, *slot);
+          slot->EraseRows(rel);
         }
 
         bool have_suspects = false;
         for (const Relation& s : suspects) have_suspects |= !s.empty();
         if (!have_suspects) {
-          // Nothing derived is affected; only the parameter filtering (if
+          // Nothing derived is affected; only the parameter erasure (if
           // any) mattered. Commit as-is.
           ++view.retracts_;
           return out;
         }
 
-        // 3. Survivors: the closure minus every suspect — sound, since no
-        // surviving tuple's derivation consumed a deleted tuple. The new
-        // seed drops the deleted seed tuples.
-        std::vector<Relation> survivors;
-        std::vector<Relation> new_seeds;
-        survivors.reserve(members);
-        new_seeds.reserve(members);
+        // 3. The re-derivation base R, one relation per member: the
+        // suspects that stay seed tuples, plus the frontier. For a small
+        // suspect cone the frontier comes from the guarded pair join,
+        // which walks the suspects, never the view; a pair whose recursive
+        // tuple is itself a suspect is dropped. When the suspects are at
+        // least half the view, that join (every derivation of every
+        // suspect) costs more than reading the survivors: R then starts
+        // with a copy of them, and the first round derives the frontier.
+        std::size_t suspect_rows = 0;
+        std::size_t view_rows = 0;
         for (std::size_t m = 0; m < members; ++m) {
-          survivors.push_back(Difference(*closed[m], suspects[m]));
-          new_seeds.push_back(
-              delta.seed_deletes.empty()
-                  ? view.seeds_[m]
-                  : Difference(view.seeds_[m], delta.seed_deletes[m]));
+          suspect_rows += suspects[m].size();
+          view_rows += closed[m]->size();
         }
-
-        // 4. Re-derivation frontier: suspects that are still seed tuples,
-        // plus every one-step head derivable from the survivors over the
-        // post-delete database (all such heads lie inside the old closure,
-        // so appending them — deduplicated — only re-establishes
-        // suspects). Then resume the fixpoint in place: the Δ rounds run
-        // from the frontier only, which is complete precisely because the
-        // frontier already holds ALL one-step heads of the survivor
-        // prefix.
-        std::vector<RowId> begin(members);
+        const bool from_survivors = 2 * suspect_rows >= view_rows;
+        std::vector<Relation> rederived;
+        std::vector<std::size_t> survivors(members, 0);
+        rederived.reserve(members);
         for (std::size_t m = 0; m < members; ++m) {
-          begin[m] = static_cast<RowId>(survivors[m].size());
-          for (TupleView t : new_seeds[m]) {
-            if (suspects[m].Contains(t)) survivors[m].Insert(t);
+          rederived.emplace_back(closed[m]->arity());
+          if (from_survivors) {
+            rederived[m] = *closed[m];
+            rederived[m].EraseRows(suspects[m]);
+            survivors[m] = rederived[m].size();
           }
-        }
-        std::vector<Relation> pass;
-        pass.reserve(members);
-        for (std::size_t m = 0; m < members; ++m) {
-          pass.emplace_back(survivors[m].arity());
-        }
-        for (const JointRule& dr : *delta_rules) {
-          ApplyOptions options;
-          options.overrides[dr.recursive_atom] = &survivors[dr.recursive_member];
-          LINREC_RETURN_IF_ERROR(ApplyRule(dr.rule, db_, options,
-                                           &pass[dr.head_member], &out.stats,
-                                           &cache_));
-        }
-        for (std::size_t m = 0; m < members; ++m) {
-          for (TupleView t : pass[m]) {
-            if (suspects[m].Contains(t)) survivors[m].Insert(t);
-          }
-        }
-        LINREC_RETURN_IF_ERROR(JointSemiNaiveExtend(
-            rules.members, rules.rules, db_, &survivors, begin, &out.stats,
-            &cache_, workers, cancel));
-
-        // 5. Outcome + commit (whole-relation swaps; nothing here can
-        // fail).
-        for (std::size_t m = 0; m < members; ++m) {
-          out.rederived += survivors[m].size() - begin[m];
           for (TupleView t : suspects[m]) {
-            if (!survivors[m].Contains(t)) out.removed[m].Insert(t);
+            if (view.seeds_[m].Contains(t) &&
+                (delta.seed_deletes.empty() ||
+                 !delta.seed_deletes[m].Contains(t))) {
+              rederived[m].Insert(t);
+            }
+          }
+        }
+        std::vector<JointRule> guarded;
+        if (!from_survivors) {
+          for (const JointRule& dr : *delta_rules) {
+            const int guard = static_cast<int>(dr.rule.body().size());
+            const std::size_t head_arity = dr.rule.head().arity();
+            const Relation& rec_suspects = suspects[dr.recursive_member];
+            ApplyOptions options;
+            options.overrides[dr.recursive_atom] =
+                closed[dr.recursive_member];
+            options.overrides[guard] = &suspects[dr.head_member];
+            options.first_atom = guard;
+            Relation pairs(head_arity + rec_suspects.arity());
+            LINREC_RETURN_IF_ERROR(ApplyRule(GuardedRule(dr, /*pair=*/true),
+                                             db_, options, &pairs,
+                                             &out.stats, &cache_));
+            for (TupleView t : pairs) {
+              if (!rec_suspects.ContainsRow(t.data() + head_arity)) {
+                rederived[dr.head_member].InsertRow(t.data());
+              }
+            }
+            // The rounds below run the same rule guarded by its head
+            // member's suspects: a head outside them is a survivor,
+            // already in the view.
+            guarded.push_back(dr);
+            guarded.back().rule = GuardedRule(dr, /*pair=*/false);
+            guarded.back().pinned[guard] = &suspects[dr.head_member];
+          }
+        }
+
+        // 4. Close R on the one round executor, every row of R a Δ row.
+        // The re-derived rows are exactly the suspects the post-delete
+        // closure keeps: any tuple of that closure has a minimal
+        // derivation chain, and induction along the chain lands each
+        // suspect on it in R. (From the survivors, an unguarded head
+        // outside the suspects is a survivor, so it deduplicates.)
+        LINREC_RETURN_IF_ERROR(JointSemiNaiveExtend(
+            rules.members, from_survivors ? *delta_rules : guarded, db_,
+            &rederived, std::vector<RowId>(members, 0), &out.stats, &cache_,
+            workers, cancel));
+
+        // 5. Outcome, then the commit: in-place erasures that keep every
+        // surviving row where it was and cannot fail.
+        for (std::size_t m = 0; m < members; ++m) {
+          out.rederived += rederived[m].size() - survivors[m];
+          for (TupleView t : suspects[m]) {
+            if (!rederived[m].Contains(t)) out.removed[m].Insert(t);
           }
           out.removed_count += out.removed[m].size();
         }
         for (std::size_t m = 0; m < members; ++m) {
-          *closed[m] = std::move(survivors[m]);
+          closed[m]->EraseRows(out.removed[m]);
+          if (!delta.seed_deletes.empty()) {
+            view.seeds_[m].EraseRows(delta.seed_deletes[m]);
+          }
         }
-        view.seeds_ = std::move(new_seeds);
         ++view.retracts_;
         view.rederived_ += out.rederived;
         return out;
       });
 
   if (!result.ok()) {
-    // The only pre-commit in-place mutation was the parameter filtering:
+    // The only pre-commit in-place mutation was the parameter erasure:
     // restore the displaced originals and the database is byte-identical.
     for (auto& [slot, original] : displaced) *slot = std::move(original);
     EvictTemporaryIndexes();

@@ -17,9 +17,15 @@
 //     Retract runs delete-and-rederive (DRed): over-approximate the
 //     affected tuples (everything derivable from a deleted tuple), then
 //     re-derive the survivors of that suspect set from the untouched
-//     remainder. Linearity makes the suspect closure exact-in-shape:
-//     each derivation consumes one recursive tuple, so "derivable from"
-//     is itself a linear closure over the same rules.
+//     remainder. Linearity makes both halves cheap: each derivation
+//     consumes one recursive tuple, so "derivable from" is itself a
+//     linear closure over the same rules, and "re-derivable from the
+//     remainder" is one join per suspect with the rule's head pinned to
+//     the suspects — the work follows the suspects, not the view. The
+//     commit erases the tuples that did not survive in place
+//     (Relation::EraseRows), so every surviving row keeps its position
+//     and a failed Retract only has the erased parameter tuples to
+//     restore.
 //
 // The delta API reuses everything the from-scratch path uses: the
 // compiled ExecutionPlan (strategy analysis is not repeated), the
@@ -85,8 +91,9 @@ struct ApplyOutcome {
 
 /// What one Retract did. `removed[m]` holds the tuples that left member
 /// m's relation (net of re-derivation) — the downstream delta for a
-/// cascading caller. `rederived` counts suspects that survived because
-/// an alternative derivation re-established them.
+/// cascading caller; every other row of the relation is where it was
+/// before the call. `rederived` counts suspects that survived because an
+/// alternative derivation re-established them.
 struct RetractOutcome {
   std::vector<Relation> removed;
   std::size_t removed_count = 0;

@@ -179,6 +179,37 @@ void Relation::TruncateRows(std::size_t rows) {
   version_stale_.store(true, std::memory_order_release);
 }
 
+std::size_t Relation::EraseRows(const Relation& drop) {
+  assert(drop.arity_ == arity_ && "relation arities must match");
+  // Mark each doomed row by flipping its cached hash. A flipped entry only
+  // ever fails the hash compare of a probe, so later lookups of other drop
+  // rows stay exact (drop is a set: no row is looked up twice).
+  std::size_t erased = 0;
+  RowId first = static_cast<RowId>(row_count_);
+  for (RowId d = 0; d < drop.row_count_; ++d) {
+    const RowId id = FindRow(drop.RowData(d), drop.hashes_[d]);
+    if (id == kNoRow) continue;
+    hashes_[id] ^= 1;
+    first = std::min(first, id);
+    ++erased;
+  }
+  if (erased == 0) return 0;
+  // Compact from the first doomed row on: a row is kept iff its cached
+  // hash still matches its contents — a sequential pass, no probing.
+  std::size_t kept = first;
+  for (RowId id = first; id < row_count_; ++id) {
+    const Value* row = pool_.data() + static_cast<std::size_t>(id) * arity_;
+    if (Hash(row) != hashes_[id]) continue;
+    if (kept != id) {
+      std::copy_n(row, arity_, pool_.data() + kept * arity_);
+      hashes_[kept] = hashes_[id];
+    }
+    ++kept;
+  }
+  TruncateRows(kept);
+  return erased;
+}
+
 // The σ scan, parameterized on the kernel. Both instantiations walk the
 // same rows in the same order (the copy pass drains each block's equality
 // mask low bit first), so SIMD and scalar results are bit-identical —

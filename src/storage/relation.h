@@ -51,9 +51,11 @@ struct PartitionView {
 /// the pool — no tuple is ever stored twice, and inserting from a raw value
 /// span allocates nothing beyond amortized pool growth.
 ///
-/// Mutation is insert-only (the algebra of the paper is monotone); each
-/// successful insert bumps a version counter that index caches key on.
-/// Iteration yields TupleViews in insertion order (deterministic).
+/// Mutation is insert-only (the algebra of the paper is monotone) except for
+/// the two in-place removals the IVM layer commits with, TruncateRows and
+/// EraseRows; each successful mutation bumps a version counter that index
+/// caches key on. Iteration yields TupleViews in insertion order
+/// (deterministic).
 class Relation {
  public:
   Relation() : arity_(0) {}
@@ -181,6 +183,14 @@ class Relation {
   /// no budget charge (and no injected fault) can fire mid-rollback.
   void TruncateRows(std::size_t rows);
 
+  /// Removes every row `drop` (same arity) contains and returns how many
+  /// went. The survivors keep their relative insertion order: the pool is
+  /// compacted in place, then the dedup table is rebuilt at its current
+  /// slot count, as TruncateRows does. Nothing is allocated, so no budget
+  /// charge (and no injected fault) can fire: the in-place set difference
+  /// a delete commits with cannot fail.
+  std::size_t EraseRows(const Relation& drop);
+
   /// Rows [begin, end) as a borrowed view (no copy).
   PartitionView View(RowId begin, RowId end) const {
     assert(begin <= end && end <= row_count_);
@@ -219,6 +229,12 @@ class Relation {
   bool ContainsRow(const Value* row) const {
     return FindRow(row, Hash(row)) != kNoRow;
   }
+
+  /// What RowIdOf returns for an absent row.
+  static constexpr RowId kNoRow = static_cast<RowId>(-1);
+  /// Id of the row equal to `row[0..arity)`, or kNoRow: one probe of the
+  /// dedup table, which is a full-key index every relation already has.
+  RowId RowIdOf(const Value* row) const { return FindRow(row, Hash(row)); }
 
   /// The `id`-th inserted row. Views are invalidated by the next insert.
   TupleView Row(RowId id) const {
@@ -276,8 +292,6 @@ class Relation {
 
  private:
   friend class PoolMerger;
-
-  static constexpr RowId kNoRow = static_cast<RowId>(-1);
 
   std::size_t Hash(const Value* row) const { return HashRow(row, arity_); }
   bool InsertHashed(const Value* row, std::size_t hash);

@@ -150,6 +150,53 @@ TEST(SelectionTest, FiltersByPosition) {
   EXPECT_TRUE(out.empty());
 }
 
+// A step whose key binds every position of its atom is a membership test:
+// it probes the relation's own dedup table. Against the index path — the
+// same rows behind a free extra column, so the step keys on a strict
+// subset and builds a HashIndex — it yields the same rows in the same
+// order with the same probe and scan counters, and caches no index.
+TEST(ApplyRuleTest, FullyBoundAtomProbesTheDedupTable) {
+  Database db;
+  Relation& e = db.GetOrCreate("e", 2);
+  Relation& f = db.GetOrCreate("f", 2);
+  Relation& g = db.GetOrCreate("g", 3);
+  for (Value i = 0; i < 40; ++i) {
+    e.Insert({i, i + 1});
+    if (i % 3 != 0) {
+      f.Insert({i, i + 1});
+      g.Insert({i, i + 1, 0});
+    }
+  }
+  ApplyOptions e_first;
+  e_first.first_atom = 0;
+  auto run = [&](const std::string& text, IndexCache* cache,
+                 ClosureStats* stats) {
+    auto rule = ParseRule(text);
+    EXPECT_TRUE(rule.ok()) << rule.status();
+    Relation out(2);
+    Status s = ApplyRule(*rule, db, e_first, &out, stats, cache);
+    EXPECT_TRUE(s.ok()) << s;
+    std::vector<Tuple> rows;
+    for (TupleView t : out) rows.push_back(t.ToTuple());
+    return rows;
+  };
+  IndexCache member_cache, index_cache;
+  ClosureStats member, indexed;
+  const std::vector<Tuple> member_rows =
+      run("h(X,Y) :- e(X,Y), f(X,Y).", &member_cache, &member);
+  const std::vector<Tuple> indexed_rows =
+      run("h(X,Y) :- e(X,Y), g(X,Y,W).", &index_cache, &indexed);
+
+  EXPECT_EQ(member_rows.size(), 26u);
+  EXPECT_EQ(member_rows, indexed_rows);
+  EXPECT_EQ(member.derivations, indexed.derivations);
+  EXPECT_EQ(member.probes_issued, indexed.probes_issued);
+  EXPECT_EQ(member.probes_issued, 40u);  // one per e row
+  EXPECT_EQ(member.rows_scanned, indexed.rows_scanned);
+  EXPECT_EQ(member_cache.entry_count(), 0u);
+  EXPECT_EQ(index_cache.entry_count(), 1u);
+}
+
 TEST(IndexCacheTest, ReusesUntilVersionChanges) {
   Relation r(2);
   r.Insert({1, 2});

@@ -248,6 +248,106 @@ TEST(IvmRetract, MatchesRecomputeParallel) {
   RestoreThreadCap();
 }
 
+/// Retract commits in place: the survivors keep their rows, in order, and
+/// re-derived tuples are never moved — the view after the call is the
+/// pre-delete view minus exactly `removed`. The damaged part is a dense
+/// random graph; with `bystander` a 200-edge chain beside it holds most of
+/// the view, so the suspects are a small cone (re-derived by the guarded
+/// joins) instead of most of the view (re-derived from the survivors).
+void RunRetractKeepsOrder(int workers, bool bystander) {
+  const std::vector<LinearRule> rules = {LR("p(X,Y) :- p(X,Z), e(Z,Y).")};
+  const int nodes = 36;
+  Relation edges = RandomGraph(nodes, 120, /*seed=*/23);
+  Relation q = IdentitySeed(nodes);
+  if (bystander) {
+    for (Value v = 1000; v < 1200; ++v) edges.Insert({v, v + 1});
+    for (Value v = 1000; v <= 1200; ++v) q.Insert({v, v});
+  }
+
+  EngineOptions options;
+  options.parallel_workers = workers;
+  Database db;
+  db.GetOrCreate("e", 2) = edges;
+  Engine engine(std::move(db), options);
+  auto prepared = engine.Prepare(Query::Closure(rules));
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  auto view = engine.Materialize(prepared->Bind().BindSeed(q), {"tc"});
+  ASSERT_TRUE(view.ok()) << view.status();
+  const std::vector<Tuple> before = Rows(*engine.db().Find("tc"));
+
+  // Every seventh edge of the random part.
+  Relation remaining(2), dropped(2);
+  std::size_t i = 0;
+  for (TupleView t : edges) {
+    (t[0] < nodes && i++ % 7 == 0 ? dropped : remaining).Insert(t);
+  }
+  DeltaDelete delta;
+  delta.param_deletes.emplace("e", dropped);
+  auto outcome = engine.Retract(*view, delta);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  ASSERT_GT(outcome->removed_count, 0u);
+  ASSERT_GT(outcome->rederived, 0u);  // some suspects stayed
+
+  std::vector<Tuple> expected;
+  for (const Tuple& t : before) {
+    if (!outcome->removed[0].Contains(t)) expected.push_back(t);
+  }
+  EXPECT_EQ(Rows(*engine.db().Find("tc")), expected)
+      << "workers=" << workers << " bystander=" << bystander;
+  EXPECT_EQ(*engine.db().Find("tc"), Recompute(rules, remaining, q))
+      << "workers=" << workers << " bystander=" << bystander;
+}
+
+TEST(IvmRetract, RetractKeepsSurvivorOrder) {
+  for (bool bystander : {false, true}) {
+    RunRetractKeepsOrder(1, bystander);
+    ForceRealThreads();
+    RunRetractKeepsOrder(2, bystander);
+    RunRetractKeepsOrder(8, bystander);
+    RestoreThreadCap();
+  }
+}
+
+/// Retract's work is bounded by the suspects, not the view: a long chain's
+/// closure (~20k tuples) beside a 3-cycle whose edge is deleted (a suspect
+/// cone of 9 tuples). Every row the call's joins examine is counted in
+/// stats.rows_scanned, which must stay below the closure size — a pass over
+/// the survivors alone would exceed it.
+TEST(IvmRetract, RetractWorkScalesWithSuspects) {
+  const std::vector<LinearRule> rules = {LR("p(X,Y) :- p(X,Z), e(Z,Y).")};
+  const int chain = 200;
+  Relation edges = ChainGraph(chain);
+  edges.Insert({1000, 1001});
+  edges.Insert({1001, 1002});
+  edges.Insert({1002, 1000});
+  Relation q = IdentitySeed(chain);
+  for (Value v : {1000, 1001, 1002}) q.Insert({v, v});
+
+  Database db;
+  db.GetOrCreate("e", 2) = edges;
+  Engine engine(std::move(db));
+  auto prepared = engine.Prepare(Query::Closure(rules));
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  auto view = engine.Materialize(prepared->Bind().BindSeed(q), {"tc"});
+  ASSERT_TRUE(view.ok()) << view.status();
+  const std::size_t closure = engine.db().Find("tc")->size();
+  ASSERT_EQ(closure, static_cast<std::size_t>(chain * (chain + 1) / 2 + 9));
+
+  Relation cut(2);
+  cut.Insert({1002, 1000});
+  DeltaDelete delta;
+  delta.param_deletes.emplace("e", cut);
+  auto outcome = engine.Retract(*view, delta);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  EXPECT_EQ(outcome->removed_count, 3u);  // (1001,1000) (1002,1000) (1002,1001)
+  EXPECT_LT(outcome->stats.rows_scanned, closure);
+  EXPECT_LT(outcome->stats.rows_scanned * 20, closure);
+
+  Relation remaining = edges;
+  remaining.EraseRows(cut);
+  EXPECT_EQ(*engine.db().Find("tc"), Recompute(rules, remaining, q));
+}
+
 /// The round-trip property (satellite): Apply(Δ) then Retract(Δ) must
 /// restore the EXACT pre-update state — same tuples, same insertion
 /// order, same seed — across worker counts. The inserted edges are fresh
@@ -360,9 +460,9 @@ TEST(IvmJoint, ApplyAndRetractMatchRecompute) {
   EXPECT_EQ(*engine.db().Find("reach_red"), oracle_out->relations[0]);
   EXPECT_EQ(*engine.db().Find("reach_blue"), oracle_out->relations[1]);
 
-  // Retract the same delta: the pre-apply closure returns. (Set equality,
-  // not row order: the inserted edges gave some ORIGINAL tuples alternative
-  // derivations, so DRed legitimately re-derives them at the end.)
+  // Retract the same delta: the pre-apply closure returns. The inserted
+  // edges gave some ORIGINAL tuples alternative derivations, so DRed
+  // suspects and re-derives them — in place, so the row order returns too.
   DeltaDelete del;
   del.seed_deletes.emplace_back(red_new);
   del.seed_deletes.emplace_back(2);
@@ -374,8 +474,95 @@ TEST(IvmJoint, ApplyAndRetractMatchRecompute) {
   for (const Tuple& t : blue_closed_before) blue_expected.Insert(t);
   EXPECT_EQ(*engine.db().Find("reach_red"), red_expected);
   EXPECT_EQ(*engine.db().Find("reach_blue"), blue_expected);
+  EXPECT_EQ(Rows(*engine.db().Find("reach_red")), red_closed_before);
+  EXPECT_EQ(Rows(*engine.db().Find("reach_blue")), blue_closed_before);
   EXPECT_EQ(*engine.db().Find("red"), red_base);
   EXPECT_EQ(view->seed(0), red_base);
+}
+
+/// A joint view whose suspects are a small cone: one alternating-color
+/// reachability component beside a larger one (nodes shifted by 1000)
+/// that no delete touches. Deleting red edges retracts through the
+/// guarded joins on both members; the view must match a from-scratch joint
+/// closure and keep its surviving rows in place, serially and on real
+/// worker threads.
+void RunJointConeRetract(int workers) {
+  auto w = MakeAlternatingReachability(40, 120, /*seed=*/9);
+  ASSERT_TRUE(w.ok()) << w.status();
+  auto bystander = MakeAlternatingReachability(70, 240, /*seed=*/4);
+  ASSERT_TRUE(bystander.ok()) << bystander.status();
+  Relation red = *w->db.Find("red");
+  Relation blue = *w->db.Find("blue");
+  for (TupleView t : *bystander->db.Find("red")) {
+    red.Insert({t[0] + 1000, t[1] + 1000});
+  }
+  for (TupleView t : *bystander->db.Find("blue")) {
+    blue.Insert({t[0] + 1000, t[1] + 1000});
+  }
+  Relation cut(2), red_left(2);
+  std::size_t i = 0;
+  for (TupleView t : red) {
+    (t[0] < 1000 && i++ % 9 == 0 ? cut : red_left).Insert(t);
+  }
+
+  EngineOptions options;
+  options.parallel_workers = workers;
+  Database db;
+  db.GetOrCreate("red", 2) = red;
+  db.GetOrCreate("blue", 2) = blue;
+  Engine engine(std::move(db), options);
+  auto prepared = engine.Prepare(Query::JointClosure(w->members, w->rules));
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  auto view = engine.Materialize(prepared->Bind().BindSeeds({red, blue}),
+                                 {"reach_red", "reach_blue"});
+  ASSERT_TRUE(view.ok()) << view.status();
+  const std::vector<Tuple> red_before = Rows(*engine.db().Find("reach_red"));
+  const std::vector<Tuple> blue_before =
+      Rows(*engine.db().Find("reach_blue"));
+
+  DeltaDelete del;
+  del.seed_deletes.emplace_back(cut);
+  del.seed_deletes.emplace_back(2);
+  del.param_deletes.emplace("red", cut);
+  auto retracted = engine.Retract(*view, del);
+  ASSERT_TRUE(retracted.ok()) << retracted.status();
+  ASSERT_GT(retracted->removed_count, 0u);
+  ASSERT_GT(retracted->rederived, 0u);
+
+  Database left;
+  left.GetOrCreate("red", 2) = red_left;
+  left.GetOrCreate("blue", 2) = blue;
+  Engine oracle(std::move(left));
+  auto oracle_prepared =
+      oracle.Prepare(Query::JointClosure(w->members, w->rules));
+  ASSERT_TRUE(oracle_prepared.ok()) << oracle_prepared.status();
+  auto oracle_out =
+      oracle.Execute(oracle_prepared->Bind().BindSeeds({red_left, blue}));
+  ASSERT_TRUE(oracle_out.ok()) << oracle_out.status();
+  EXPECT_EQ(*engine.db().Find("reach_red"), oracle_out->relations[0])
+      << "workers=" << workers;
+  EXPECT_EQ(*engine.db().Find("reach_blue"), oracle_out->relations[1])
+      << "workers=" << workers;
+
+  const std::vector<Tuple>* before[] = {&red_before, &blue_before};
+  const char* names[] = {"reach_red", "reach_blue"};
+  for (std::size_t m = 0; m < 2; ++m) {
+    std::vector<Tuple> expected;
+    for (const Tuple& t : *before[m]) {
+      if (!retracted->removed[m].Contains(t)) expected.push_back(t);
+    }
+    EXPECT_EQ(Rows(*engine.db().Find(names[m])), expected)
+        << "workers=" << workers << " member=" << m;
+  }
+  EXPECT_EQ(view->seed(0), red_left);
+}
+
+TEST(IvmJoint, ConeRetractMatchesRecomputeAndKeepsOrder) {
+  RunJointConeRetract(1);
+  ForceRealThreads();
+  RunJointConeRetract(2);
+  RunJointConeRetract(8);
+  RestoreThreadCap();
 }
 
 TEST(IvmFault, MidApplyAbortRollsBackToExactBytes) {

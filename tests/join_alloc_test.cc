@@ -120,6 +120,38 @@ TEST(JoinAllocTest, ProbeLoopAllocatesNothingPerCandidate) {
   EXPECT_LE(small, 64u);
 }
 
+/// Allocations of one warm ApplyRule pass whose last step is a membership
+/// test: e(X,Y) is scanned, then f(X,Y) — fully bound — probes f's dedup
+/// table (half of the n rows hit).
+std::size_t WarmMembershipAllocations(int n) {
+  auto rule = ParseRule("h(X,Y) :- e(X,Y), f(X,Y).");
+  EXPECT_TRUE(rule.ok());
+  Database db;
+  db.GetOrCreate("e", 2) = ChainGraph(n);
+  Relation& f = db.GetOrCreate("f", 2);
+  for (int i = 0; i < n; i += 2) f.Insert({i, i + 1});
+  ApplyOptions options;
+  options.first_atom = 0;
+
+  IndexCache cache;
+  Relation out(2);
+  out.Reserve(static_cast<std::size_t>(n));
+  std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  Status s = ApplyRule(*rule, db, options, &out, nullptr, &cache);
+  std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_TRUE(s.ok()) << s;
+  EXPECT_EQ(out.size(), static_cast<std::size_t>(n / 2));
+  EXPECT_EQ(cache.entry_count(), 0u);  // no index was built
+  return after - before;
+}
+
+TEST(JoinAllocTest, MembershipStepAllocatesNothingPerCandidate) {
+  std::size_t small = WarmMembershipAllocations(32);
+  std::size_t large = WarmMembershipAllocations(512);
+  EXPECT_EQ(small, large) << "membership probe allocates";
+  EXPECT_LE(small, 64u);
+}
+
 /// Allocations of one ApplySelection over a relation of `rows` rows in
 /// which exactly `matches` rows carry the selected value.
 std::size_t SelectionAllocations(int rows, int matches) {

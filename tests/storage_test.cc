@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
+#include "common/memory.h"
 #include "common/parallel.h"
 #include "storage/database.h"
 #include "storage/relation.h"
@@ -280,6 +282,121 @@ TEST(RelationTest, WhereEqualsTailStaysInsideThePool) {
       }
     }
   }
+}
+
+/// Rows in insertion order (Sorted() would hide reordering).
+std::vector<Tuple> RowsInOrder(const Relation& r) {
+  std::vector<Tuple> out;
+  for (TupleView t : r) out.push_back(t.ToTuple());
+  return out;
+}
+
+TEST(RelationTest, EraseRowsKeepsSurvivorOrder) {
+  Relation r(2);
+  for (Value i = 0; i < 100; ++i) r.Insert({i, i * 7});
+  Relation drop(2);
+  for (Value i = 0; i < 100; i += 3) drop.Insert({i, i * 7});
+  drop.Insert({500, 500});  // absent from r: ignored
+  EXPECT_EQ(r.EraseRows(drop), 34u);
+  std::vector<Tuple> expected;
+  for (Value i = 0; i < 100; ++i) {
+    if (i % 3 != 0) expected.push_back(Tuple({i, i * 7}));
+  }
+  EXPECT_EQ(RowsInOrder(r), expected);
+}
+
+TEST(RelationTest, EraseRowsKeepsContainsAndRowHashConsistent) {
+  Relation r(3);
+  for (Value i = 0; i < 300; ++i) r.Insert({i % 17, i, -i});
+  Relation drop(3);
+  for (Value i = 0; i < 300; i += 2) drop.Insert({i % 17, i, -i});
+  ASSERT_EQ(r.EraseRows(drop), 150u);
+  ASSERT_EQ(r.size(), 150u);
+  for (RowId id = 0; id < r.size(); ++id) {
+    EXPECT_EQ(r.RowHash(id), HashRow(r.RowData(id), 3)) << id;
+    EXPECT_EQ(r.RowIdOf(r.RowData(id)), id);
+  }
+  for (Value i = 0; i < 300; ++i) {
+    EXPECT_EQ(r.Contains({i % 17, i, -i}), i % 2 == 1) << i;
+  }
+  // The dedup table is exact after the erase: erased rows insert anew,
+  // surviving rows stay duplicates.
+  EXPECT_TRUE(r.Insert({0, 0, 0}));
+  EXPECT_FALSE(r.Insert({1, 1, -1}));
+  EXPECT_EQ(r.RowIdOf(Tuple({0, 0, 0}).data()), 150u);
+  EXPECT_EQ(r.RowIdOf(Tuple({0, 2, -2}).data()), Relation::kNoRow);
+}
+
+TEST(RelationTest, EraseRowsChangesTheVersion) {
+  Relation r(1);
+  for (Value i = 0; i < 10; ++i) r.Insert({i});
+  const std::uint64_t before = r.version();
+  Relation absent(1);
+  absent.Insert({42});
+  EXPECT_EQ(r.EraseRows(absent), 0u);
+  EXPECT_EQ(r.version(), before);  // nothing erased: contents unchanged
+  Relation some(1);
+  some.Insert({3});
+  EXPECT_EQ(r.EraseRows(some), 1u);
+  EXPECT_NE(r.version(), before);
+  EXPECT_NE(r.version(), 0u);
+  const Relation all = r;
+  EXPECT_EQ(r.EraseRows(all), 9u);  // erasing everything: the empty stamp
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.version(), 0u);
+}
+
+// The scan-tail invariant (see WhereEqualsTailStaysInsideThePool) must
+// survive the compaction: erase down into the 33-40-row window and scan
+// every column.
+TEST(RelationTest, EraseRowsKeepsTheWhereEqualsTailInsideThePool) {
+  for (std::size_t arity = 1; arity <= 3; ++arity) {
+    for (Value rows = 33; rows <= 40; ++rows) {
+      Relation r(arity);
+      Relation drop(arity);
+      for (Value i = 0; i < 48; ++i) {
+        std::vector<Value> values;
+        for (std::size_t c = 0; c < arity; ++c) {
+          values.push_back(i + 1000 * static_cast<Value>(c));
+        }
+        const Tuple t(std::move(values));
+        r.Insert(t);
+        // Erase from the front so the survivors shift down.
+        if (i < 48 - rows) drop.Insert(t);
+      }
+      ASSERT_EQ(r.EraseRows(drop), static_cast<std::size_t>(48 - rows));
+      for (std::size_t c = 0; c < arity; ++c) {
+        const int column = static_cast<int>(c);
+        const Value last = 47 + 1000 * static_cast<Value>(c);
+        SCOPED_TRACE(testing::Message() << "arity=" << arity
+                                        << " rows=" << rows
+                                        << " column=" << column);
+        EXPECT_EQ(r.WhereEquals(column, last).size(), 1u);
+        EXPECT_EQ(r.WhereEquals(column, last),
+                  r.WhereEqualsScalar(column, last));
+        EXPECT_TRUE(r.WhereEquals(column, 0 + 1000 * static_cast<Value>(c))
+                        .empty());  // row 0 was erased
+      }
+    }
+  }
+}
+
+TEST(RelationTest, EraseRowsCannotBeDeniedByTheBudget) {
+  Relation r(2);
+  for (Value i = 0; i < 1000; ++i) r.Insert({i, i + 1});
+  Relation drop(2);
+  for (Value i = 0; i < 1000; i += 5) drop.Insert({i, i + 1});
+  // A budget with no headroom and an armed growth fault: any allocation
+  // the erase made would throw.
+  QueryBudget exhausted(/*limit_bytes=*/1);
+  ScopedQueryBudget scope(&exhausted);
+  EXPECT_THROW(ChargeBytesOrThrow(64, FaultSite::kPoolGrowth),
+               ResourceExhaustedError);
+  ScopedFault fault(FaultSite::kRehash, 1);
+  std::size_t erased = 0;
+  EXPECT_NO_THROW(erased = r.EraseRows(drop));
+  EXPECT_EQ(erased, 200u);
+  EXPECT_EQ(r.size(), 800u);
 }
 
 TEST(RelationTest, PartitionViewCoversRowRanges) {

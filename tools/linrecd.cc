@@ -26,6 +26,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -110,6 +111,9 @@ struct ListenState {
 void ServeConnection(Server& server, ListenState& state, int fd) {
   auto session = server.NewSession();
   std::string buffer;
+  // Bytes of `buffer` already searched for '\n': a partial line is never
+  // rescanned, so a long line costs linear time across its recv calls.
+  std::size_t scanned = 0;
   char chunk[4096];
   bool open = true;
   while (open && !state.shutting_down.load()) {
@@ -121,7 +125,7 @@ void ServeConnection(Server& server, ListenState& state, int fd) {
     std::vector<std::string> lines;
     std::size_t begin = 0;
     for (;;) {
-      std::size_t end = buffer.find('\n', begin);
+      std::size_t end = buffer.find('\n', std::max(begin, scanned));
       if (end == std::string::npos) break;
       std::string line = buffer.substr(begin, end - begin);
       if (!line.empty() && line.back() == '\r') line.pop_back();
@@ -129,6 +133,7 @@ void ServeConnection(Server& server, ListenState& state, int fd) {
       begin = end + 1;
     }
     buffer.erase(0, begin);
+    scanned = buffer.size();
     if (lines.empty()) continue;
     std::string reply_bytes;
     auto write = [&](const std::string& reply) {
