@@ -324,4 +324,45 @@ print("ivm_apply fault: aborted INSERT rolled back byte-identical, "
 PY
 shutdown_daemon "$FPORT" "$FAULT_PID" || { cat "$FAULT_LOG" >&2; exit 1; }
 
+# --- peer close mid-reply -----------------------------------------------
+# A client sends a full-closure query (a reply of about 1 MB) and closes
+# without reading it. The daemon's writes then hit a reset connection; it
+# must drop that connection, not die of SIGPIPE, and a fresh connection
+# must still be served.
+echo "--- peer closes mid-reply ---"
+FAULT_LOG="$WORKDIR/peer_close.log"
+start_daemon "$FAULT_LOG"
+python3 - "$FPORT" <<'PY'
+import socket, sys, time
+port = int(sys.argv[1])
+edges = " ".join(f"edge({i}, {i + 1})." for i in range(400))
+script = (
+    "LOAD\n" + edges + "\n"
+    "tc(X, Y) :- edge(X, Y).\n"
+    "tc(X, Y) :- tc(X, Z), edge(Z, Y).\n"
+    "END\n"
+    "?- tc(X, Y).\n"
+)
+s = socket.create_connection(("127.0.0.1", port), timeout=10)
+s.sendall(script.encode())
+s.close()
+time.sleep(0.5)  # let the daemon compute and write into the dead peer
+try:
+    s = socket.create_connection(("127.0.0.1", port), timeout=10)
+except ConnectionRefusedError:
+    sys.exit("FAIL: daemon died after a peer closed mid-reply")
+s.sendall(b"PING\nQUIT\n")
+data = b""
+while b"OK bye\n" not in data:
+    chunk = s.recv(65536)
+    if not chunk:
+        break
+    data += chunk
+s.close()
+if b"OK pong" not in data:
+    sys.exit(f"FAIL: daemon did not serve after a peer closed mid-reply:\n{data!r}")
+print("peer close: daemon survived and served the next connection")
+PY
+shutdown_daemon "$FPORT" "$FAULT_PID" || { cat "$FAULT_LOG" >&2; exit 1; }
+
 echo "PASS: linrecd fault-injection smoke"

@@ -71,7 +71,16 @@ struct CompiledRule::Impl {
   std::vector<Value> key_buf;
   std::vector<Value> head_values;
   std::vector<JoinFrame> frames;
+  /// Per step: the index its probes go to, or null (scan, membership or
+  /// unkeyed); and whether its probes are column scans for now.
   std::vector<const HashIndex*> indexes;
+  std::vector<char> scan_probe;
+  /// Per step: rows its scan probes read and have not yet charged to the
+  /// cache entry (charged at the step's next probe, or at Run end).
+  std::vector<std::size_t> uncharged;
+  /// Per step: the row ids the last scan probe matched (the span the
+  /// frame walks). Capacity persists across Runs.
+  std::vector<std::vector<RowId>> scan_ids;
   /// Pending head rows (kEmitBatch × head_arity values) and their hashes:
   /// emits are buffered so the output table's probe slots can be
   /// prefetched a batch ahead — the probes' cache misses overlap instead
@@ -233,6 +242,9 @@ Result<CompiledRule> CompileRule(const Rule& rule, const Database& db,
   impl.key_buf.assign(max_key_len, 0);
   impl.frames.resize(impl.steps.size());
   impl.indexes.assign(impl.steps.size(), nullptr);
+  impl.scan_probe.assign(impl.steps.size(), 0);
+  impl.uncharged.assign(impl.steps.size(), 0);
+  impl.scan_ids.resize(impl.steps.size());
   impl.emit_rows.reserve(CompiledRule::Impl::kEmitBatch * impl.head_arity);
   impl.emit_hashes.reserve(CompiledRule::Impl::kEmitBatch);
   return compiled;
@@ -258,24 +270,46 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
     if (delta->empty()) return Status::OK();
   }
 
-  // Re-resolve indexes through the cache: relations may have grown since
-  // the last Run (the Δ-carrying relation does every round); the cache
-  // rebuilds exactly the stale ones. The partitioned first step never uses
-  // an index — it range-scans its slice and checks constants per row — and
-  // a membership step probes its relation's dedup table instead.
+  // Route each keyed step through the cache: relations may have grown
+  // since the last Run (the Δ-carrying relation does every round). A step
+  // whose relation has a current index probes it; otherwise the cache's
+  // rent-or-buy credit decides between building one now and answering
+  // each probe with a column scan. The planned probe count is known at
+  // depth 1 (one per outer row — at most the Δ slice, or the whole first
+  // relation when step 0 scans it); elsewhere it is taken as one (step 0,
+  // whose key is all constants, probes exactly once). The partitioned
+  // first step never probes — it range-scans its slice and checks
+  // constants per row — and a membership step probes its relation's dedup
+  // table instead.
   IndexCache local_cache;
   IndexCache* idx = cache != nullptr ? cache : &local_cache;
+  std::size_t index_builds = 0;
   for (std::size_t d = 0; d < steps.size(); ++d) {
+    const JoinStep& step = steps[d];
+    indexes[d] = nullptr;
+    scan_probe[d] = 0;
+    uncharged[d] = 0;
     const bool partitioned_first = delta != nullptr && d == 0;
-    indexes[d] = (!partitioned_first && !steps[d].membership &&
-                  !steps[d].key_positions.empty())
-                     ? &idx->Get(*steps[d].relation, steps[d].key_positions)
-                     : nullptr;
+    if (partitioned_first || step.membership || step.key_positions.empty()) {
+      continue;
+    }
+    std::size_t planned = 1;
+    if (d == 1 && delta != nullptr) {
+      planned = delta->size();
+    } else if (d == 1 && steps[0].key_positions.empty()) {
+      planned = steps[0].relation->size();
+    }
+    const ProbeRoute route =
+        idx->Route(*step.relation, step.key_positions, planned);
+    indexes[d] = route.index;
+    scan_probe[d] = route.index == nullptr;
+    index_builds += route.built;
   }
 
   std::size_t produced = 0;
   std::size_t rows_scanned = 0;   // candidate rows examined across depths
-  std::size_t probes_issued = 0;  // index lookups resolved in enter()
+  std::size_t probes_issued = 0;  // keyed lookups resolved in enter()
+  std::size_t scan_probes = 0;    // of those, answered by a column scan
   std::size_t filter_blocks = 0;  // Δ-filter blocks walked (+ lane hits)
   std::size_t filter_hits = 0;
   emit_rows.clear();
@@ -329,24 +363,54 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
       }
       ++probes_issued;
     };
+    // Points the frame at the index bucket for the key in key_buf.
+    auto lookup = [&](const JoinStep& step, JoinFrame& f,
+                      const HashIndex& index) {
+      RowSpan span = index.Lookup(key_buf.data());
+      f.rows = span.ids;
+      f.limit = span.count;
+      // Fill the pipeline: the bucket's row ids are contiguous, but the
+      // rows they name are scattered across the pool.
+      const std::size_t fill =
+          span.count < kProbePrefetch ? span.count : kProbePrefetch;
+      for (std::size_t k = 0; k < fill; ++k) {
+        __builtin_prefetch(step.relation->RowData(span.ids[k]));
+      }
+    };
     // Positions the candidate cursor at `depth`, resolving the step's
-    // index bucket from the current binding (no candidates ⇒ limit 0).
+    // candidate rows from the current binding (no candidates ⇒ limit 0).
     auto enter = [&](std::size_t depth) {
       const JoinStep& step = steps[depth];
       JoinFrame& f = frames[depth];
       f.next = 0;
-      if (indexes[depth] != nullptr) {
+      if (scan_probe[depth]) {
         fill_key(step);
-        RowSpan span = indexes[depth]->Lookup(key_buf.data());
-        f.rows = span.ids;
-        f.limit = span.count;
-        // Fill the pipeline: the bucket's row ids are contiguous, but the
-        // rows they name are scattered across the pool.
-        const std::size_t fill =
-            span.count < kProbePrefetch ? span.count : kProbePrefetch;
-        for (std::size_t k = 0; k < fill; ++k) {
-          __builtin_prefetch(step.relation->RowData(span.ids[k]));
+        // Charge the step's previous scan and ask again: once the credit
+        // is spent, this probe builds the index and uses it.
+        if (uncharged[depth] != 0) {
+          const ProbeRoute route = idx->Route(
+              *step.relation, step.key_positions, 1, uncharged[depth]);
+          uncharged[depth] = 0;
+          if (route.index != nullptr) {
+            indexes[depth] = route.index;
+            scan_probe[depth] = 0;
+            index_builds += route.built;
+            lookup(step, f, *route.index);
+            return;
+          }
         }
+        // The rows the index bucket would list, in the same order, found
+        // by a column scan.
+        std::vector<RowId>& ids = scan_ids[depth];
+        ids.clear();
+        step.relation->MatchRows(step.key_positions, key_buf.data(), &ids);
+        f.rows = ids.data();
+        f.limit = ids.size();
+        uncharged[depth] = step.relation->size();
+        ++scan_probes;
+      } else if (indexes[depth] != nullptr) {
+        fill_key(step);
+        lookup(step, f, *indexes[depth]);
       } else if (depth == 0 && delta != nullptr) {
         f.rows = nullptr;  // partitioned: scan the Δ slice only
         f.next = delta->begin;
@@ -475,6 +539,14 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
       descending = false;
     }
     flush_emits();
+    // Charge the last scan of each renting step; the credit carries over
+    // to the next Run at this version.
+    for (std::size_t d = 0; d < steps.size(); ++d) {
+      if (uncharged[d] != 0) {
+        idx->Route(*steps[d].relation, steps[d].key_positions, 0,
+                   uncharged[d]);
+      }
+    }
   }
 
   if (stats != nullptr) {
@@ -482,6 +554,8 @@ Status CompiledRule::Impl::Execute(const PartitionView* delta, Relation* out,
     stats->derivations += produced;
     stats->rows_scanned += rows_scanned;
     stats->probes_issued += probes_issued;
+    stats->scan_probes += scan_probes;
+    stats->index_builds += index_builds;
     stats->simd_blocks += filter_blocks;
     stats->simd_lane_hits += filter_hits;
   }

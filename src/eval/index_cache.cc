@@ -2,22 +2,36 @@
 
 namespace linrec {
 
-const HashIndex& IndexCache::Get(const Relation& rel,
-                                 const std::vector<int>& positions) {
+ProbeRoute IndexCache::Route(const Relation& rel,
+                             const std::vector<int>& positions,
+                             std::size_t planned_probes,
+                             std::size_t scanned_rows) {
   probe_.Assign(&rel, positions);
   auto it = entries_.find(probe_);
-  if (it != entries_.end() &&
-      it->second->built_at_version() == rel.version()) {
-    return *it->second;
+  if (it == entries_.end()) it = entries_.emplace(probe_, Entry{}).first;
+  Entry& entry = it->second;
+  const std::uint64_t version = rel.version();
+  if (entry.index != nullptr && entry.index->built_at_version() == version) {
+    return {entry.index.get(), false};
   }
-  auto index = std::make_unique<HashIndex>(rel, positions);
+  if (entry.version != version) {
+    entry.version = version;
+    entry.scanned = 0;
+  }
+  entry.scanned += scanned_rows;
+  // Buy when the planned scans would overrun the credit:
+  // scanned + planned·|R| > ratio·|R| (written so kBuyNow cannot
+  // overflow). A charge-only call (no planned probe) never buys.
+  const std::size_t rows = rel.size() == 0 ? 1 : rel.size();
+  const std::size_t credit = kBuildScanRatio * rows;
+  const bool buy =
+      planned_probes != 0 &&
+      (entry.scanned >= credit ||
+       planned_probes > (credit - entry.scanned) / rows);
+  if (!buy) return {};
+  entry.index = std::make_unique<HashIndex>(rel, positions);
   ++rebuilds_;
-  if (it != entries_.end()) {
-    it->second = std::move(index);
-    return *it->second;
-  }
-  auto [pos, inserted] = entries_.emplace(probe_, std::move(index));
-  return *pos->second;
+  return {entry.index.get(), true};
 }
 
 void IndexCache::RetainOnly(

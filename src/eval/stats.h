@@ -32,8 +32,15 @@ struct ClosureStats {
   std::size_t result_size = 0;
   /// Rows examined by σ scans and by the join kernel's Δ sweep.
   std::size_t rows_scanned = 0;
-  /// Index probes issued by the join kernel (one per HashIndex::Lookup).
+  /// Keyed probes issued by the join kernel: HashIndex lookups, column
+  /// scans standing in for them, and dedup-table membership probes.
   std::size_t probes_issued = 0;
+  /// Of those, probes answered by a column scan because the relation had
+  /// no current index and the rent-or-buy credit was not yet spent
+  /// (IndexCache::Route).
+  std::size_t scan_probes = 0;
+  /// HashIndex builds the join kernel asked the index cache for.
+  std::size_t index_builds = 0;
   /// kLanes-row blocks walked by the columnar scan kernels (including
   /// partial tails). Counted identically in SIMD and scalar builds, so
   /// simd_lane_hits / (simd_blocks * simd::kLanes) is the scan-lane
@@ -58,6 +65,8 @@ struct ClosureStats {
     result_size = other.result_size;
     rows_scanned += other.rows_scanned;
     probes_issued += other.probes_issued;
+    scan_probes += other.scan_probes;
+    index_builds += other.index_builds;
     simd_blocks += other.simd_blocks;
     simd_lane_hits += other.simd_lane_hits;
     millis += other.millis;

@@ -811,28 +811,38 @@ Relation MatchGoal(const Relation& rows, const Atom& goal,
     return rows.size() <= row_limit ? rows : FirstRows(rows, row_limit);
   }
 
+  auto repeats_agree = [&](const Value* row) {
+    for (const auto& [var, positions] : var_positions) {
+      for (std::size_t p = 1; p < positions.size(); ++p) {
+        if (row[positions[p]] != row[positions[0]]) return false;
+      }
+    }
+    return true;
+  };
   Relation out(rows.arity());
-  for (TupleView row : rows) {
+  if (constants.empty()) {
+    for (TupleView row : rows) {
+      if (out.size() >= row_limit) break;
+      if (repeats_agree(row.data())) out.Insert(row);
+    }
+    return out;
+  }
+  // The constants select by column scan — the join kernel's keyed-probe
+  // primitive, in row order — and the repeated variables filter the
+  // (small) match list. Matches keep their cached hashes.
+  std::vector<int> positions;
+  std::vector<Value> key;
+  for (const auto& [pos, value] : constants) {
+    positions.push_back(static_cast<int>(pos));
+    key.push_back(value);
+  }
+  std::vector<RowId> ids;
+  rows.MatchRows(positions, key.data(), &ids);
+  out.Reserve(std::min(ids.size(), row_limit));
+  for (RowId id : ids) {
     if (out.size() >= row_limit) break;
-    bool keep = true;
-    for (const auto& [pos, value] : constants) {
-      if (row[pos] != value) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) {
-      for (const auto& [var, positions] : var_positions) {
-        for (std::size_t p = 1; p < positions.size(); ++p) {
-          if (row[positions[p]] != row[positions[0]]) {
-            keep = false;
-            break;
-          }
-        }
-        if (!keep) break;
-      }
-    }
-    if (keep) out.Insert(row);
+    const Value* row = rows.RowData(id);
+    if (repeats_agree(row)) out.InsertRowHashed(row, rows.RowHash(id));
   }
   return out;
 }

@@ -12,7 +12,7 @@
 // seeds the continuation the same way a seed insert does. Every mutation
 // on this path is an append; failure rollback is Relation::TruncateRows
 // back to the recorded sizes, which restores the exact pre-call bytes (and
-// cannot itself fail: same-size rehash never charges the budget).
+// cannot itself fail: it only deletes dedup slots, allocating nothing).
 //
 // Retract is the delete half — delete-and-rederive (DRed; Gupta, Mumick &
 // Subrahmanian, SIGMOD 1993), with every step after the suspect closure
@@ -44,6 +44,21 @@
 //      order-preserving, allocation-free, so the commit cannot fail).
 // The only mutation before commit is the parameter erasure, which keeps
 // copies of the originals for restore-on-failure.
+//
+// The cost of one update. The operators are linear in the view, so a
+// one-tuple update's one-step consequences are a σ on one column of the
+// view joined with the delta: Apply step 2 and Retract step 1a probe the
+// view once per delta row. Each version of the view lives for one update,
+// so those probes are column scans (IndexCache's rent-or-buy credit is
+// never spent by them) — not a HashIndex built over the whole view to
+// answer one probe and be invalidated by the next append or erase. The
+// Δ rounds and the suspect closure probe the parameter relations, which
+// the cache indexes once a round's probe count or the spent credit says a
+// build pays. The commit's EraseRows keeps the view's dedup table. So an
+// INSERT costs one sequential column scan of the view plus work
+// proportional to its new consequences, and a DELETE costs one scan, the
+// suspect cone, and sequential erase passes over the dedup slots and the
+// rows after the first erased one — no pass rehashes or indexes the view.
 
 #include <cstddef>
 #include <map>

@@ -1,5 +1,6 @@
 #include "server/server.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 
@@ -207,6 +208,24 @@ Status Server::Admit(std::size_t goals) {
 std::vector<Result<QueryResult>> Server::EvaluateGoals(
     Session& session, const std::vector<Atom>& goals) {
   if (goals.empty()) return {};
+  // A run longer than the pending bound could never be admitted whole,
+  // not even by an idle server, so no retry would help: admit it in
+  // chunks of at most max_pending instead, each against the bound.
+  const std::size_t chunk = std::max<std::size_t>(limits_.max_pending, 1);
+  if (goals.size() > chunk) {
+    std::vector<Result<QueryResult>> outcomes;
+    outcomes.reserve(goals.size());
+    for (std::size_t begin = 0; begin < goals.size(); begin += chunk) {
+      const std::size_t end = std::min(goals.size(), begin + chunk);
+      const std::vector<Atom> part(
+          goals.begin() + static_cast<std::ptrdiff_t>(begin),
+          goals.begin() + static_cast<std::ptrdiff_t>(end));
+      for (Result<QueryResult>& outcome : EvaluateGoals(session, part)) {
+        outcomes.push_back(std::move(outcome));
+      }
+    }
+    return outcomes;
+  }
   const Status admitted = Admit(goals.size());
   if (!admitted.ok()) {
     return std::vector<Result<QueryResult>>(goals.size(),
@@ -436,6 +455,8 @@ void Server::HandleStats(Session& session, std::vector<std::string>* out) {
   const ClosureStats& totals = session.instance().totals();
   out->push_back(StrCat("session_rows_scanned=", totals.rows_scanned));
   out->push_back(StrCat("session_probes_issued=", totals.probes_issued));
+  out->push_back(StrCat("session_index_builds=", totals.index_builds));
+  out->push_back(StrCat("session_scan_probes=", totals.scan_probes));
   out->push_back(StrCat("session_simd_blocks=", totals.simd_blocks));
   out->push_back(StrCat("session_simd_lane_hits=", totals.simd_lane_hits));
   // Scan-lane utilization as an integer percent: how full the kLanes-row

@@ -84,7 +84,8 @@ class Server {
   /// Evaluates a batch of pipelined query goals (the driver batches
   /// consecutive "?-" lines; HandleLine submits singletons through here).
   /// One RESULT block or ERR line per goal, in order. Counts against the
-  /// pending bound as one unit per goal.
+  /// pending bound as one unit per goal; a batch longer than the bound is
+  /// admitted in chunks that fit it.
   void SubmitQueries(Session& session, const std::vector<Atom>& goals,
                      std::vector<std::string>* out);
 
@@ -122,6 +123,7 @@ class Server {
   Status Admit(std::size_t goals);
   /// The shared evaluation core: admission control, per-goal deadline
   /// tokens, EvalQueries. One Result per goal (Unavailable on rejection).
+  /// More goals than max_pending are admitted in chunks of max_pending.
   std::vector<Result<QueryResult>> EvaluateGoals(Session& session,
                                                  const std::vector<Atom>& goals);
   void HandleSet(Session& session, const std::string& args,

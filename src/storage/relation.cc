@@ -15,6 +15,16 @@ namespace {
 /// those reads contend with it.
 alignas(64) std::atomic<std::uint64_t> g_version_counter{0};  // lint: hot-atomic
 
+/// Equality mask of one kLanes-row block of a strided column, on the
+/// vector kernel or the scalar reference.
+template <bool kSimd>
+unsigned BlockEq(const Value* column, std::size_t stride, Value value) {
+#if LINREC_SIMD
+  if constexpr (kSimd) return simd::BlockEqMask(column, stride, value);
+#endif
+  return simd::BlockEqMaskScalar(column, stride, value);
+}
+
 /// Smallest power of two ≥ n (and ≥ 8).
 std::size_t NextPow2(std::size_t n) {
   std::size_t p = 8;
@@ -75,16 +85,35 @@ bool Relation::InsertHashed(const Value* row, std::size_t hash) {
 }
 
 RowId Relation::FindRow(const Value* row, std::size_t hash) const {
-  if (slots_.empty()) return kNoRow;
+  const std::size_t slot = FindSlot(row, hash);
+  return slot == kNoSlot ? kNoRow : slots_[slot] - 1;
+}
+
+std::size_t Relation::FindSlot(const Value* row, std::size_t hash) const {
+  if (slots_.empty()) return kNoSlot;
   std::size_t mask = slots_.size() - 1;
   std::size_t i = hash & mask;
   while (true) {
     RowId slot = slots_[i];
-    if (slot == 0) return kNoRow;
+    if (slot == 0) return kNoSlot;
     RowId id = slot - 1;
-    if (hashes_[id] == hash && RowEquals(id, row)) return id;
+    if (hashes_[id] == hash && RowEquals(id, row)) return i;
     i = (i + 1) & mask;
   }
+}
+
+void Relation::DeleteSlot(std::size_t i) {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = (i + 1) & mask; slots_[j] != 0; j = (j + 1) & mask) {
+    // The entry at j may fill the hole at i iff i lies on its probe path,
+    // i.e. its home slot is no closer to j (cyclically) than i is.
+    const std::size_t home = hashes_[slots_[j] - 1] & mask;
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      slots_[i] = slots_[j];
+      i = j;
+    }
+  }
+  slots_[i] = 0;
 }
 
 // Pool and hash-array growth is explicit (never left to the vectors'
@@ -103,12 +132,22 @@ void Relation::GrowPool(std::size_t needed_values) {
   pool_.reserve(new_cap);
 }
 
+// The EraseRows scratch grows here, in step with the hash array, so its
+// bytes are charged with the hashes' and EraseRows never allocates.
 void Relation::GrowHashes(std::size_t needed_rows) {
   std::size_t new_cap = std::max(needed_rows, hashes_.capacity() * 2);
   if (new_cap < 16) new_cap = 16;
-  ChargeBytesOrThrow((new_cap - hashes_.capacity()) * sizeof(std::size_t),
+  const std::size_t words = (new_cap + 63) / 64;
+  const std::size_t scratch_growth =
+      words > erase_words_.size() ? words - erase_words_.size() : 0;
+  ChargeBytesOrThrow((new_cap - hashes_.capacity()) * sizeof(std::size_t) +
+                         scratch_growth * sizeof(EraseWord),
                      FaultSite::kPoolGrowth);
   hashes_.reserve(new_cap);
+  if (scratch_growth != 0) {
+    erase_words_.reserve(words);  // exactly the charged size
+    erase_words_.resize(words);
+  }
 }
 
 void Relation::Rehash(std::size_t slot_count) {
@@ -160,60 +199,157 @@ void Relation::Clear() {
 void Relation::TruncateRows(std::size_t rows) {
   assert(rows <= row_count_ && "can only truncate, never extend");
   if (rows == row_count_) return;
+  if (rows == 0) {
+    // An empty relation must report version 0 (the "two empties share a
+    // stamp" rule in version()).
+    Clear();
+    return;
+  }
+  // Drop the tail rows' slots, newest first. Each is found by probing from
+  // its cached hash for its own id; the deletions keep the table exact for
+  // the rows still in it.
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t id = row_count_; id-- > rows;) {
+    std::size_t i = hashes_[id] & mask;
+    while (slots_[i] != id + 1) i = (i + 1) & mask;
+    DeleteSlot(i);
+  }
   row_count_ = rows;
   // resize() never shrinks capacity, so the padded-capacity invariant the
   // scan kernels rely on (capacity = whole kPadRows blocks) still holds.
   pool_.resize(rows * arity_);
   hashes_.resize(rows);
-  if (rows == 0) {
-    // An empty relation must report version 0 (the "two empties share a
-    // stamp" rule in version()).
-    version_.store(0, std::memory_order_relaxed);
-    version_stale_.store(false, std::memory_order_relaxed);
-    std::fill(slots_.begin(), slots_.end(), 0);
-    return;
-  }
-  // Same slot count: Rehash only charges when capacity grows, so the
-  // rollback path cannot itself be denied.
-  Rehash(slots_.size());
   version_stale_.store(true, std::memory_order_release);
 }
 
 std::size_t Relation::EraseRows(const Relation& drop) {
   assert(drop.arity_ == arity_ && "relation arities must match");
-  // Mark each doomed row by flipping its cached hash. A flipped entry only
-  // ever fails the hash compare of a probe, so later lookups of other drop
-  // rows stay exact (drop is a set: no row is looked up twice).
+  if (row_count_ == 0 || drop.row_count_ == 0) return 0;
+  // GrowHashes keeps one scratch word per 64 rows of hash capacity.
+  const std::size_t words = (row_count_ + 63) / 64;
+  assert(erase_words_.size() >= words);
+  EraseWord* marks = erase_words_.data();
+  for (std::size_t w = 0; w < words; ++w) marks[w].doomed = 0;
+
+  // 1. Find each doomed row, mark its id and delete its slot. Backward
+  // shifting keeps the table exact for the rows still in it, so the later
+  // lookups of other drop rows stay correct.
   std::size_t erased = 0;
   RowId first = static_cast<RowId>(row_count_);
   for (RowId d = 0; d < drop.row_count_; ++d) {
-    const RowId id = FindRow(drop.RowData(d), drop.hashes_[d]);
-    if (id == kNoRow) continue;
-    hashes_[id] ^= 1;
+    const std::size_t slot = FindSlot(drop.RowData(d), drop.hashes_[d]);
+    if (slot == kNoSlot) continue;
+    const RowId id = slots_[slot] - 1;
+    marks[id / 64].doomed |= std::uint64_t{1} << (id % 64);
     first = std::min(first, id);
+    DeleteSlot(slot);
     ++erased;
   }
   if (erased == 0) return 0;
-  // Compact from the first doomed row on: a row is kept iff its cached
-  // hash still matches its contents — a sequential pass, no probing.
-  std::size_t kept = first;
-  for (RowId id = first; id < row_count_; ++id) {
-    const Value* row = pool_.data() + static_cast<std::size_t>(id) * arity_;
-    if (Hash(row) != hashes_[id]) continue;
-    if (kept != id) {
-      std::copy_n(row, arity_, pool_.data() + kept * arity_);
-      hashes_[kept] = hashes_[id];
-    }
-    ++kept;
+
+  // 2. Per-word ranks: doomed rows below each word.
+  RowId doomed_below = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    marks[w].rank = doomed_below;
+    doomed_below += static_cast<RowId>(__builtin_popcountll(marks[w].doomed));
   }
-  TruncateRows(kept);
+
+  // 3. Renumber the surviving slots in one sequential pass: a survivor's
+  // new id is its old id minus the doomed ids below it.
+  for (RowId& slot : slots_) {
+    if (slot <= first) continue;  // empty (0), or an id below every doomed
+    const RowId id = slot - 1;
+    const EraseWord& word = marks[id / 64];
+    const std::uint64_t below =
+        word.doomed & ((std::uint64_t{1} << (id % 64)) - 1);
+    slot -= word.rank + static_cast<RowId>(__builtin_popcountll(below));
+  }
+
+  // 4. Compact the pool and the cached hashes: move each run of survivors
+  // between doomed rows down over the gap, in order.
+  std::size_t kept = first;
+  std::size_t run = first;  // start of the survivor run before `id`
+  for (std::size_t w = first / 64; w < words; ++w) {
+    for (std::uint64_t bits = marks[w].doomed; bits != 0; bits &= bits - 1) {
+      const std::size_t id =
+          w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
+      MoveRows(run, id, kept);
+      kept += id - run;
+      run = id + 1;
+    }
+  }
+  MoveRows(run, row_count_, kept);
+  kept += row_count_ - run;
+
+  row_count_ = kept;
+  pool_.resize(kept * arity_);
+  hashes_.resize(kept);
+  if (kept == 0) {
+    Clear();
+  } else {
+    version_stale_.store(true, std::memory_order_release);
+  }
   return erased;
 }
 
-// The σ scan, parameterized on the kernel. Both instantiations walk the
-// same rows in the same order (the copy pass drains each block's equality
-// mask low bit first), so SIMD and scalar results are bit-identical —
-// arity, size, and row-by-row insertion order.
+void Relation::MoveRows(std::size_t begin, std::size_t end, std::size_t to) {
+  if (begin >= end) return;
+  std::copy(pool_.begin() + static_cast<std::ptrdiff_t>(begin * arity_),
+            pool_.begin() + static_cast<std::ptrdiff_t>(end * arity_),
+            pool_.begin() + static_cast<std::ptrdiff_t>(to * arity_));
+  std::copy(hashes_.begin() + static_cast<std::ptrdiff_t>(begin),
+            hashes_.begin() + static_cast<std::ptrdiff_t>(end),
+            hashes_.begin() + static_cast<std::ptrdiff_t>(to));
+}
+
+// The mask-and-drain walk both σ scans share, parameterized on the kernel.
+// Both instantiations walk the same rows in the same order and hand drain
+// the same masks (each drained low bit first), so SIMD and scalar results
+// are bit-identical. The SIMD tail is a full-block load masked down — safe
+// because pool capacities are padded to whole blocks (GrowPool).
+template <bool kSimd, typename Drain>
+void Relation::DrainMatches(const int* columns, const Value* values,
+                            std::size_t count, Drain&& drain) const {
+  assert(count != 0 && "a keyed scan needs at least one column");
+  const std::size_t rows = row_count_;
+  const std::size_t stride = arity_;
+  const Value* pool = pool_.data();
+  auto block_mask = [&](std::size_t base) {
+    const Value* block = pool + base * stride;
+    unsigned mask = BlockEq<kSimd>(
+        block + static_cast<std::size_t>(columns[0]), stride, values[0]);
+    for (std::size_t k = 1; mask != 0 && k < count; ++k) {
+      mask &= BlockEq<kSimd>(block + static_cast<std::size_t>(columns[k]),
+                             stride, values[k]);
+    }
+    return mask;
+  };
+  const std::size_t full = rows / simd::kLanes * simd::kLanes;
+  for (std::size_t base = 0; base < full; base += simd::kLanes) {
+    if (const unsigned mask = block_mask(base); mask != 0) drain(base, mask);
+  }
+  if (const std::size_t tail = rows - full; tail != 0) {
+    unsigned mask = 0;
+    if constexpr (kSimd && LINREC_SIMD) {
+      mask = block_mask(full) & ((1u << tail) - 1u);
+    } else {
+      // The scalar kernel never reads past the last row.
+      for (std::size_t i = 0; i < tail; ++i) {
+        const Value* row = pool + (full + i) * stride;
+        bool match = true;
+        for (std::size_t k = 0; match && k < count; ++k) {
+          match = row[static_cast<std::size_t>(columns[k])] == values[k];
+        }
+        mask |= static_cast<unsigned>(match) << i;
+      }
+    }
+    if (mask != 0) drain(full, mask);
+  }
+}
+
+// The σ scan: a count pass sizes the output exactly, then the drain
+// bulk-copies the matching rows, reusing their cached hashes (rows of a
+// relation are unique, so every insert lands).
 template <bool kSimd>
 Relation Relation::WhereEqualsKernel(int position, Value value,
                                      ScanCounters* counters) const {
@@ -240,49 +376,30 @@ Relation Relation::WhereEqualsKernel(int position, Value value,
   if (counters != nullptr) counters->hits += matches;
   if (matches == 0) return out;
   out.Reserve(matches);
-  // Pass 2: bulk-copy the matching rows from blockwise equality masks,
-  // reusing their cached hashes (rows of a relation are unique, so every
-  // insert lands). The SIMD tail is a full-block load masked down — safe
-  // because pool capacities are padded to whole blocks (GrowPool).
-  const std::size_t full = rows / simd::kLanes * simd::kLanes;
-  auto drain = [&](std::size_t base, unsigned mask) {
+  // Pass 2: drain the blockwise equality masks into the output.
+  DrainMatches<kSimd>(&position, &value, 1, [&](std::size_t base,
+                                                unsigned mask) {
     while (mask != 0) {
-      const unsigned lane = static_cast<unsigned>(__builtin_ctz(mask));
+      const std::size_t i = base + static_cast<std::size_t>(__builtin_ctz(mask));
       mask &= mask - 1;
-      const std::size_t i = base + lane;
       out.InsertHashed(pool_.data() + i * stride, hashes_[i]);
     }
-  };
-  for (std::size_t base = 0; base < full; base += simd::kLanes) {
-    unsigned mask;
-#if LINREC_SIMD
-    if constexpr (kSimd) {
-      mask = simd::BlockEqMask(column + base * stride, stride, value);
-    } else
-#endif
-    {
-      mask = simd::BlockEqMaskScalar(column + base * stride, stride, value);
-    }
-    drain(base, mask);
-  }
-  if (const std::size_t tail = rows - full; tail != 0) {
-    unsigned mask;
-#if LINREC_SIMD
-    if constexpr (kSimd) {
-      mask = simd::BlockEqMask(column + full * stride, stride, value) &
-             ((1u << tail) - 1u);
-    } else
-#endif
-    {
-      mask = 0;
-      for (std::size_t i = 0; i < tail; ++i) {
-        mask |= static_cast<unsigned>(column[(full + i) * stride] == value)
-                << i;
-      }
-    }
-    drain(full, mask);
-  }
+  });
   return out;
+}
+
+void Relation::MatchRows(const std::vector<int>& positions, const Value* key,
+                         std::vector<RowId>* ids) const {
+  DrainMatches<simd::kEnabled>(
+      positions.data(), key, positions.size(),
+      [&](std::size_t base, unsigned mask) {
+        while (mask != 0) {
+          ids->push_back(
+              static_cast<RowId>(base + static_cast<std::size_t>(
+                                            __builtin_ctz(mask))));
+          mask &= mask - 1;
+        }
+      });
 }
 
 Relation Relation::WhereEquals(int position, Value value,

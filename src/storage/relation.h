@@ -73,7 +73,8 @@ class Relation {
         version_stale_(o.version_stale_.load(std::memory_order_relaxed)),
         row_count_(o.row_count_),
         hashes_(o.hashes_),
-        slots_(o.slots_) {
+        slots_(o.slots_),
+        erase_words_(o.erase_words_) {
     if (!o.pool_.empty()) {
       pool_.reserve(PaddedPoolCapacity(o.pool_.size(), arity_));
       pool_.insert(pool_.end(), o.pool_.begin(), o.pool_.end());
@@ -86,7 +87,8 @@ class Relation {
         row_count_(o.row_count_),
         pool_(std::move(o.pool_)),
         hashes_(std::move(o.hashes_)),
-        slots_(std::move(o.slots_)) {
+        slots_(std::move(o.slots_)),
+        erase_words_(std::move(o.erase_words_)) {
     o.row_count_ = 0;
     o.version_.store(0, std::memory_order_relaxed);
     o.version_stale_.store(false, std::memory_order_relaxed);
@@ -107,6 +109,7 @@ class Relation {
       pool_ = std::move(o.pool_);
       hashes_ = std::move(o.hashes_);
       slots_ = std::move(o.slots_);
+      erase_words_ = std::move(o.erase_words_);
       o.row_count_ = 0;
       o.version_.store(0, std::memory_order_relaxed);
       o.version_stale_.store(false, std::memory_order_relaxed);
@@ -178,17 +181,26 @@ class Relation {
   /// rows <= size()). Insert order, pool bytes and cached hashes of the
   /// surviving prefix are untouched, so truncating to a recorded size
   /// restores the exact pre-append bytes — the IVM rollback primitive
-  /// (appends are the only mutation, so size() is a checkpoint). The dedup
-  /// table is rebuilt over the survivors in place; no capacity grows, so
-  /// no budget charge (and no injected fault) can fire mid-rollback.
+  /// (appends are the only mutation, so size() is a checkpoint). Each
+  /// dropped row's dedup slot is removed by backward-shift deletion, found
+  /// from its cached hash: O(dropped rows), no rehash. Nothing is
+  /// allocated, so no budget charge (and no injected fault) can fire
+  /// mid-rollback.
   void TruncateRows(std::size_t rows);
 
   /// Removes every row `drop` (same arity) contains and returns how many
-  /// went. The survivors keep their relative insertion order: the pool is
-  /// compacted in place, then the dedup table is rebuilt at its current
-  /// slot count, as TruncateRows does. Nothing is allocated, so no budget
-  /// charge (and no injected fault) can fire: the in-place set difference
-  /// a delete commits with cannot fail.
+  /// went. The survivors keep their relative insertion order. The dedup
+  /// table is kept, not rebuilt: each doomed row's slot is removed by
+  /// backward-shift deletion, the doomed ids are marked in a bitmap with
+  /// per-word rank counts, the pool and the cached hashes are compacted by
+  /// moving the runs between doomed rows, and one sequential pass over the
+  /// slots renumbers the survivors (id minus the doomed ids below it). No
+  /// row is rehashed. The bitmap is scratch sized with the hash array's
+  /// capacity (and charged with it in GrowHashes), so nothing is allocated
+  /// and no budget charge (or injected fault) can fire: the in-place set
+  /// difference a delete commits with cannot fail. Cost: O(|drop|) probes
+  /// plus sequential passes over the slots and the rows from the first
+  /// doomed one on.
   std::size_t EraseRows(const Relation& drop);
 
   /// Rows [begin, end) as a borrowed view (no copy).
@@ -208,6 +220,15 @@ class Relation {
   /// to it.
   Relation WhereEquals(int position, Value value,
                        ScanCounters* counters = nullptr) const;
+  /// The keyed probe a HashIndex on `positions` answers, done by a column
+  /// scan instead: appends to `*ids` the ids of the rows whose `positions`
+  /// columns equal `key[0..positions.size())`, in insertion order — the
+  /// order of the index's bucket. Same mask-and-drain kernel as
+  /// WhereEquals, one block mask per key column ANDed. Allocates only when
+  /// `*ids` must grow, so a caller that reuses the vector probes
+  /// allocation-free in the steady state.
+  void MatchRows(const std::vector<int>& positions, const Value* key,
+                 std::vector<RowId>* ids) const;
   /// WhereEquals forced onto the scalar reference kernel in every build —
   /// the baseline the scan_sigma microbench and the SIMD parity tests
   /// compare against.
@@ -296,6 +317,16 @@ class Relation {
   std::size_t Hash(const Value* row) const { return HashRow(row, arity_); }
   bool InsertHashed(const Value* row, std::size_t hash);
   RowId FindRow(const Value* row, std::size_t hash) const;
+  /// Slot index holding the row equal to `row`, or kNoSlot.
+  std::size_t FindSlot(const Value* row, std::size_t hash) const;
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  /// Empties slot `i` by backward-shift deletion: later entries of its
+  /// probe run move up into the hole when their home slot allows, so every
+  /// remaining row stays reachable from its home with no tombstone.
+  void DeleteSlot(std::size_t i);
+  /// Copies rows [begin, end) and their cached hashes down to row `to`
+  /// (to <= begin) — one survivor run of EraseRows' compaction.
+  void MoveRows(std::size_t begin, std::size_t end, std::size_t to);
   bool RowEquals(RowId id, const Value* row) const {
     const Value* mine = pool_.data() + static_cast<std::size_t>(id) * arity_;
     for (std::size_t i = 0; i < arity_; ++i) {
@@ -331,6 +362,12 @@ class Relation {
   template <bool kSimd>
   Relation WhereEqualsKernel(int position, Value value,
                              ScanCounters* counters) const;
+  /// The shared mask-and-drain walk: calls drain(base, mask) for every
+  /// kLanes-row block with a nonzero mask of rows whose `columns[k]`
+  /// equals `values[k]` for every k < count.
+  template <bool kSimd, typename Drain>
+  void DrainMatches(const int* columns, const Value* values,
+                    std::size_t count, Drain&& drain) const;
 
   std::size_t arity_;
   /// Lazily drawn content stamp; see version(). Atomics make concurrent
@@ -346,6 +383,15 @@ class Relation {
   std::vector<Value, simd::PoolAllocator<Value>> pool_;
   std::vector<std::size_t> hashes_;  // per-row hash (dedup probes, rehash)
   std::vector<RowId> slots_;      // open addressing: row id + 1; 0 = empty
+  /// EraseRows scratch: one word per 64 rows of hash-array capacity —
+  /// the doomed-row bitmap and, per word, the doomed rows before it (the
+  /// rank a survivor's new id subtracts). Sized by GrowHashes so its bytes
+  /// are charged with the hashes'; EraseRows itself never grows it.
+  struct EraseWord {
+    std::uint64_t doomed = 0;
+    RowId rank = 0;
+  };
+  std::vector<EraseWord> erase_words_;
 };
 
 /// Merges thread-local output pools into one target relation with no

@@ -197,6 +197,123 @@ TEST(ApplyRuleTest, FullyBoundAtomProbesTheDedupTable) {
   EXPECT_EQ(index_cache.entry_count(), 1u);
 }
 
+/// A 1000-row "view" v(X, Z) in which every 10th row has Z = 7, and a
+/// one-row delta d(7, 9): the IVM delta-rule shape — one probe of v on its
+/// second column per delta row.
+struct ScanProbeFixture {
+  Database db;
+  Relation delta{2};
+  ApplyOptions options;
+  Rule rule = *ParseRule("h(X, Y) :- d(Z, Y), v(X, Z).");
+
+  ScanProbeFixture() {
+    Relation& v = db.GetOrCreate("v", 2);
+    for (Value i = 0; i < 1000; ++i) v.Insert({i, i % 10 == 3 ? 7 : i + 1000});
+    delta.Insert({7, 9});
+    options.overrides[0] = &delta;
+    options.first_atom = 0;
+  }
+  const Relation& view() const { return *db.Find("v"); }
+  std::vector<Tuple> Run(IndexCache* cache, ClosureStats* stats) {
+    Relation out(2);
+    Status status = ApplyRule(rule, db, options, &out, stats, cache);
+    EXPECT_TRUE(status.ok()) << status;
+    std::vector<Tuple> rows;
+    for (TupleView t : out) rows.push_back(t.ToTuple());
+    return rows;
+  }
+};
+
+// A probe answered by column scan yields what the index probe yields: the
+// same rows in the same order, with the same derivation, probe and
+// candidate-row counters. Only scan_probes / index_builds tell them apart.
+TEST(IndexCacheTest, ScanProbedStepMatchesTheIndexStep) {
+  ScanProbeFixture f;
+  IndexCache renting;
+  IndexCache bought;
+  bought.Get(f.view(), {1});  // index built up front: every probe hits it
+  ClosureStats scanned;
+  ClosureStats indexed;
+  const std::vector<Tuple> scan_rows = f.Run(&renting, &scanned);
+  const std::vector<Tuple> index_rows = f.Run(&bought, &indexed);
+  EXPECT_EQ(scan_rows.size(), 100u);
+  EXPECT_EQ(scan_rows, index_rows);
+  EXPECT_EQ(scanned.derivations, indexed.derivations);
+  EXPECT_EQ(scanned.probes_issued, indexed.probes_issued);
+  EXPECT_EQ(scanned.rows_scanned, indexed.rows_scanned);
+  EXPECT_EQ(scanned.scan_probes, 1u);
+  EXPECT_EQ(scanned.index_builds, 0u);
+  EXPECT_EQ(indexed.scan_probes, 0u);
+  EXPECT_EQ(renting.rebuilds(), 0u);
+}
+
+// Rent or buy: one-probe Runs over an unchanged view scan until the scans
+// have spent the credit (kBuildScanRatio scans of the view); the next Run
+// that probes builds the index, exactly once, and later Runs hit it. A
+// new version resets the credit, so the next one-probe Run scans again.
+TEST(IndexCacheTest, BuildsOnceWhenTheScanCreditIsSpent) {
+  ScanProbeFixture f;
+  IndexCache cache;
+  const std::size_t renting_runs = IndexCache::kBuildScanRatio;
+  for (std::size_t run = 0; run < renting_runs; ++run) {
+    ClosureStats stats;
+    f.Run(&cache, &stats);
+    EXPECT_EQ(stats.scan_probes, 1u) << run;
+    EXPECT_EQ(cache.rebuilds(), 0u) << run;
+  }
+  ClosureStats buying;
+  f.Run(&cache, &buying);
+  EXPECT_EQ(buying.scan_probes, 0u);
+  EXPECT_EQ(buying.index_builds, 1u);
+  EXPECT_EQ(cache.rebuilds(), 1u);
+  for (int run = 0; run < 5; ++run) {
+    ClosureStats stats;
+    f.Run(&cache, &stats);
+    EXPECT_EQ(stats.index_builds, 0u);
+  }
+  EXPECT_EQ(cache.rebuilds(), 1u);
+
+  f.db.GetOrCreate("v", 2).Insert({5000, 5001});
+  ClosureStats after_update;
+  f.Run(&cache, &after_update);
+  EXPECT_EQ(after_update.scan_probes, 1u);
+  EXPECT_EQ(cache.rebuilds(), 1u);
+}
+
+// A Run whose probe count is known up front buys when those scans would
+// overrun the credit: kBuildScanRatio + 1 delta rows build the index at
+// once. An unknown count (a depth-2 step) rents until the credit is
+// spent, then switches to the index mid-Run — with the same answer and
+// the same probe counts either way.
+TEST(IndexCacheTest, PlannedProbesBuyUpFrontAndRentingSwitchesMidRun) {
+  ScanProbeFixture f;
+  f.delta.Clear();
+  for (std::size_t i = 0; i <= IndexCache::kBuildScanRatio; ++i) {
+    f.delta.Insert({7, static_cast<Value>(i)});
+  }
+  IndexCache cache;
+  ClosureStats planned;
+  const std::vector<Tuple> planned_rows = f.Run(&cache, &planned);
+  EXPECT_EQ(planned.scan_probes, 0u);
+  EXPECT_EQ(planned.index_builds, 1u);
+
+  // Depth 2: d is scanned, u(Y) — a membership test, taken before v as
+  // the smaller relation — passes every d row, then v is probed: its probe
+  // count is not known when the Run starts.
+  Relation& u = f.db.GetOrCreate("u", 1);
+  for (TupleView t : f.delta) u.Insert({t[1]});
+  f.rule = *ParseRule("h(X, Y) :- d(Z, Y), u(Y), v(X, Z).");
+  IndexCache renting;
+  ClosureStats mid_run;
+  const std::vector<Tuple> mid_run_rows = f.Run(&renting, &mid_run);
+  EXPECT_EQ(mid_run_rows, planned_rows);
+  EXPECT_EQ(mid_run.scan_probes, IndexCache::kBuildScanRatio);
+  EXPECT_EQ(mid_run.index_builds, 1u);  // the last probe bought
+  EXPECT_EQ(mid_run.probes_issued, 2 * planned.probes_issued);  // + u's
+  EXPECT_EQ(mid_run.rows_scanned,
+            planned.rows_scanned + f.delta.size());  // + u's hits
+}
+
 TEST(IndexCacheTest, ReusesUntilVersionChanges) {
   Relation r(2);
   r.Insert({1, 2});

@@ -278,6 +278,66 @@ TEST(MatchGoalTest, FiltersConstantsAndRepeatedVariables) {
   EXPECT_EQ(MatchGoal(rows, Goal("?- p(2, 1).")).size(), 0u);
 }
 
+/// The scalar reference MatchGoal is checked against: walk every row in
+/// order, keep it when each constant matches its column and each repeated
+/// variable agrees across its columns, stop at `row_limit` kept rows.
+std::vector<Tuple> ReferenceMatch(const Relation& rows, const Atom& goal,
+                                  std::size_t row_limit) {
+  std::vector<Tuple> out;
+  for (TupleView row : rows) {
+    if (out.size() >= row_limit) break;
+    bool keep = true;
+    for (std::size_t i = 0; i < goal.terms.size(); ++i) {
+      const Term& t = goal.terms[i];
+      if (t.is_const()) {
+        keep = keep && row[i] == t.constant();
+        continue;
+      }
+      for (std::size_t j = 0; j < i; ++j) {
+        const Term& earlier = goal.terms[j];
+        if (earlier.is_var() && earlier.var() == t.var()) {
+          keep = keep && row[i] == row[j];
+        }
+      }
+    }
+    if (keep) out.push_back(row.ToTuple());
+  }
+  return out;
+}
+
+// MatchGoal resolves its constants with the column scan; over every goal
+// shape the served filter takes, it returns the reference's rows in the
+// reference's order, including under the row cap. 1003 rows: the scan
+// ends in a partial block.
+TEST(MatchGoalTest, ColumnScanMatchesTheScalarReferenceOverGoalShapes) {
+  Relation rows(3);
+  for (Value i = 0; i < 1003; ++i) rows.Insert({i % 7, i % 5, (i * 3) % 5});
+  const char* goals[] = {
+      "?- p(3, Y, Z).",  // a constant at column 0
+      "?- p(X, 4, Z).",  // a constant at column 1
+      "?- p(2, 4, Z).",  // two constants
+      "?- p(6, Y, Y).",  // a constant with a repeated variable
+      "?- p(X, Y, X).",  // a repeated variable alone
+      "?- p(9, Y, Z).",  // a constant that matches nothing
+  };
+  for (const char* text : goals) {
+    const Atom goal = Goal(text);
+    for (std::size_t row_limit : {static_cast<std::size_t>(SIZE_MAX),
+                                  static_cast<std::size_t>(5),
+                                  static_cast<std::size_t>(0)}) {
+      SCOPED_TRACE(testing::Message() << text << " row_limit=" << row_limit);
+      const Relation matched = MatchGoal(rows, goal, row_limit);
+      std::vector<Tuple> got;
+      for (TupleView t : matched) got.push_back(t.ToTuple());
+      const std::vector<Tuple> want = ReferenceMatch(rows, goal, row_limit);
+      EXPECT_EQ(got, want);
+      if (row_limit == SIZE_MAX && std::string(text) != "?- p(9, Y, Z).") {
+        EXPECT_FALSE(want.empty());
+      }
+    }
+  }
+}
+
 TEST(PlannerTest, SharedPlannerCountsOneMissPerStructure) {
   Planner planner;
   const std::size_t before = planner.plan_cache_misses();

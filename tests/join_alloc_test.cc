@@ -152,6 +152,49 @@ TEST(JoinAllocTest, MembershipStepAllocatesNothingPerCandidate) {
   EXPECT_LE(small, 64u);
 }
 
+/// Allocations of `runs` warm Runs of the IVM delta-rule shape: a one-row
+/// delta d(Z, Y) probes a view v(X, Z) of `view_rows` rows on its second
+/// column. The view grows by one row before every Run, so its version
+/// moves, the rent-or-buy credit resets, and every probe is a column scan.
+std::size_t ScanProbeRunAllocations(int view_rows, int runs) {
+  auto rule = ParseRule("h(X, Y) :- d(Z, Y), v(X, Z).");
+  EXPECT_TRUE(rule.ok());
+  Database db;
+  Relation& v = db.GetOrCreate("v", 2);
+  v.Reserve(static_cast<std::size_t>(view_rows + runs));
+  for (int i = 0; i < view_rows; ++i) v.Insert({i, i % 64 == 0 ? 7 : -1});
+  Relation delta(2);
+  delta.Insert({7, 9});
+  ApplyOptions options;
+  options.overrides[0] = &delta;
+  options.first_atom = 0;
+  Result<CompiledRule> compiled = CompileRule(*rule, db, options);
+  EXPECT_TRUE(compiled.ok());
+
+  IndexCache cache;
+  Relation out(2);
+  out.Reserve(static_cast<std::size_t>(view_rows));
+  ClosureStats stats;
+  // Warm: the cache entry, the scan's id buffer and the output exist.
+  EXPECT_TRUE(compiled->Run(&out, &stats, &cache).ok());
+  std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int run = 0; run < runs; ++run) {
+    v.Insert({view_rows + run, -2});  // a new version, no new match
+    EXPECT_TRUE(compiled->Run(&out, &stats, &cache).ok());
+  }
+  std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(stats.scan_probes, static_cast<std::size_t>(runs + 1));
+  EXPECT_EQ(stats.index_builds, 0u);
+  EXPECT_EQ(cache.rebuilds(), 0u);
+  EXPECT_EQ(out.size(), static_cast<std::size_t>((view_rows + 63) / 64));
+  return after - before;
+}
+
+TEST(JoinAllocTest, SteadyStateScanProbeRunsAllocateNothing) {
+  EXPECT_EQ(ScanProbeRunAllocations(512, 8), 0u);
+  EXPECT_EQ(ScanProbeRunAllocations(8192, 64), 0u);
+}
+
 /// Allocations of one ApplySelection over a relation of `rows` rows in
 /// which exactly `matches` rows carry the selected value.
 std::size_t SelectionAllocations(int rows, int matches) {

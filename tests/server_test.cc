@@ -183,6 +183,29 @@ TEST(ServerTest, AdmissionControlRejectsPastPendingBound) {
   EXPECT_EQ(server.pending(), 0u);
 }
 
+// A run of query lines longer than max_pending could never be admitted
+// whole, even by an idle server; it is admitted in chunks that fit.
+TEST(ServerTest, RunLongerThanPendingBoundIsAdmittedInChunks) {
+  ServerLimits limits;
+  limits.max_pending = 4;
+  Server server(limits);
+  auto session = server.NewSession();
+  Load(server, *session, kTcProgram);
+  std::vector<std::string> lines;
+  for (int i = 0; i < 9; ++i) lines.push_back("?- tc(1, Y).");
+  std::vector<std::string> out;
+  server.SubmitQueryLines(*session, lines, &out);
+  ASSERT_EQ(out.size(), 9u * 5u);  // header + 3 rows + terminator each
+  for (std::size_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(out[i * 5], "RESULT tc/2 rows=3 truncated=0") << i;
+  }
+  EXPECT_EQ(server.pending(), 0u);
+  out = Drive(server, *session, {"STATS"});
+  EXPECT_NE(std::find(out.begin(), out.end(), "queries_rejected=0"),
+            out.end());
+  EXPECT_NE(std::find(out.begin(), out.end(), "queries_served=9"), out.end());
+}
+
 TEST(ServerTest, SessionLifecycleActions) {
   Server server;
   auto session = server.NewSession();
@@ -309,6 +332,48 @@ TEST(ServerTest, DeleteRetractsDerivationsAndRederives) {
 
   out = Drive(server, *session, {"STATS"});
   EXPECT_NE(std::find(out.begin(), out.end(), "ivm_retracted=1"), out.end());
+}
+
+/// The value of STATS line `key=<value>`, or -1 when absent.
+long StatValue(Server& server, Session& session, const std::string& key) {
+  for (const std::string& line : Drive(server, session, {"STATS"})) {
+    if (line.rfind(key + "=", 0) == 0) {
+      return std::stol(line.substr(key.size() + 1));
+    }
+  }
+  return -1;
+}
+
+// On a materialized TC view an INSERT and a DELETE each probe the view
+// with a one-row delta: those probes are column scans. Before, each one
+// built a HashIndex over the whole view. The graph is small enough (a
+// 6-node chain: every closure round probes `edge` fewer times than the
+// rent-or-buy credit allows) that no other step buys an index either, so
+// session_index_builds not moving shows that none was built over the view.
+TEST(ServerTest, UpdatesProbeTheViewByScanWithoutBuildingAnIndex) {
+  Server server;
+  auto session = server.NewSession();
+  Load(server, *session, StrCat(kTcProgram, "edge(4, 5). edge(5, 6).\n"));
+  Drive(server, *session, {"?- tc(X, Y)."});  // materializes tc
+  const long builds = StatValue(server, *session, "session_index_builds");
+  const long scans = StatValue(server, *session, "session_scan_probes");
+  ASSERT_GE(builds, 0);
+  ASSERT_GE(scans, 0);
+
+  std::vector<std::string> out =
+      Drive(server, *session, {"INSERT edge(6, 7)."});
+  EXPECT_EQ(out.front(), "OK insert applied=1 views=1 added=6") << out.front();
+  const long scans_after_insert =
+      StatValue(server, *session, "session_scan_probes");
+  EXPECT_GT(scans_after_insert, scans);
+  EXPECT_EQ(StatValue(server, *session, "session_index_builds"), builds);
+
+  out = Drive(server, *session, {"DELETE edge(6, 7)."});
+  EXPECT_EQ(out.front(), "OK delete removed=1 views=1 retracted=6 rederived=0")
+      << out.front();
+  EXPECT_GT(StatValue(server, *session, "session_scan_probes"),
+            scans_after_insert);
+  EXPECT_EQ(StatValue(server, *session, "session_index_builds"), builds);
 }
 
 TEST(ServerTest, InsertValidationRejectsWithoutTouchingSessionState) {

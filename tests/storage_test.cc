@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/fault.h"
 #include "common/memory.h"
 #include "common/parallel.h"
@@ -397,6 +400,164 @@ TEST(RelationTest, EraseRowsCannotBeDeniedByTheBudget) {
   EXPECT_NO_THROW(erased = r.EraseRows(drop));
   EXPECT_EQ(erased, 200u);
   EXPECT_EQ(r.size(), 800u);
+}
+
+/// Checks `r` after an erase: its rows are exactly `expected`, in order;
+/// every survivor is found at its own id by Contains/RowIdOf and keeps its
+/// cached hash; no row of `erased` is found; and the σ scan over every
+/// column (full blocks and the tail) matches the scalar reference.
+void ExpectErasedExactly(const Relation& r, const std::vector<Tuple>& expected,
+                         const std::vector<Tuple>& erased) {
+  ASSERT_EQ(RowsInOrder(r), expected);
+  for (RowId id = 0; id < r.size(); ++id) {
+    EXPECT_EQ(r.RowIdOf(r.RowData(id)), id);
+    EXPECT_TRUE(r.Contains(r.Row(id)));
+    EXPECT_EQ(r.RowHash(id), HashRow(r.RowData(id), r.arity())) << id;
+  }
+  for (const Tuple& t : erased) {
+    EXPECT_FALSE(r.Contains(t));
+    EXPECT_EQ(r.RowIdOf(t.data()), Relation::kNoRow);
+  }
+  for (std::size_t c = 0; c < r.arity(); ++c) {
+    const int column = static_cast<int>(c);
+    for (const Tuple* t : {expected.empty() ? nullptr : &expected.back(),
+                           erased.empty() ? nullptr : &erased.back()}) {
+      if (t == nullptr) continue;
+      EXPECT_EQ(RowsInOrder(r.WhereEquals(column, (*t)[c])),
+                RowsInOrder(r.WhereEqualsScalar(column, (*t)[c])));
+    }
+  }
+}
+
+/// Erases from a 203-row relation (not a whole number of scan blocks or
+/// bitmap words) the rows whose index `doomed` selects.
+template <typename Doomed>
+void EraseShape(Doomed doomed) {
+  Relation r(2);
+  Relation drop(2);
+  std::vector<Tuple> kept;
+  std::vector<Tuple> erased;
+  for (Value i = 0; i < 203; ++i) {
+    const Tuple t({i % 13, i * 31});
+    r.Insert(t);
+    if (doomed(i)) {
+      drop.Insert(t);
+      erased.push_back(t);
+    } else {
+      kept.push_back(t);
+    }
+  }
+  EXPECT_EQ(r.EraseRows(drop), erased.size());
+  ExpectErasedExactly(r, kept, erased);
+}
+
+TEST(RelationTest, EraseRowsShapes) {
+  {
+    SCOPED_TRACE("first row");
+    EraseShape([](Value i) { return i == 0; });
+  }
+  {
+    SCOPED_TRACE("last row");
+    EraseShape([](Value i) { return i == 202; });
+  }
+  {
+    SCOPED_TRACE("all rows");
+    EraseShape([](Value) { return true; });
+  }
+  {
+    SCOPED_TRACE("no rows");
+    EraseShape([](Value) { return false; });
+  }
+  {
+    SCOPED_TRACE("alternating rows");
+    EraseShape([](Value i) { return i % 2 == 1; });
+  }
+  {
+    SCOPED_TRACE("a run across bitmap words");
+    EraseShape([](Value i) { return i >= 60 && i < 140; });
+  }
+}
+
+// Erase-then-insert cycles while the relation grows through several dedup
+// table sizes: each erase keeps the table (no rehash), so every cycle
+// checks that the kept table still finds exactly the survivors, and that
+// inserts after an erase land at the end with fresh ids.
+TEST(RelationTest, EraseThenInsertCyclesAcrossTableGrowth) {
+  Relation r(2);
+  std::vector<Tuple> expected;
+  std::vector<Tuple> erased;
+  Value next = 0;
+  for (int cycle = 0; cycle < 12; ++cycle) {
+    // Grow by more than is erased, so the table grows across cycles.
+    for (int k = 0; k < 50 + cycle * 40; ++k, ++next) {
+      const Tuple t({next % 7, next});
+      ASSERT_TRUE(r.Insert(t));
+      expected.push_back(t);
+    }
+    Relation drop(2);
+    std::vector<Tuple> kept;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      if ((i + static_cast<std::size_t>(cycle)) % 3 == 0) {
+        drop.Insert(expected[i]);
+        erased.push_back(expected[i]);
+      } else {
+        kept.push_back(expected[i]);
+      }
+    }
+    ASSERT_EQ(r.EraseRows(drop), drop.size());
+    expected = std::move(kept);
+    SCOPED_TRACE(testing::Message() << "cycle " << cycle);
+    ExpectErasedExactly(r, expected, erased);
+    // An erased row inserts anew at the end; a survivor stays a duplicate.
+    ASSERT_FALSE(r.Insert(expected.front()));
+  }
+  // Re-inserting every erased row restores them, appended after the
+  // survivors in re-insertion order.
+  for (const Tuple& t : erased) {
+    EXPECT_TRUE(r.Insert(t));
+    EXPECT_EQ(r.RowIdOf(t.data()), r.size() - 1);
+  }
+}
+
+TEST(RelationTest, TruncateRowsKeepsTheTableExact) {
+  Relation r(2);
+  for (Value i = 0; i < 500; ++i) r.Insert({i, -i});
+  r.TruncateRows(321);
+  ASSERT_EQ(r.size(), 321u);
+  for (Value i = 0; i < 500; ++i) {
+    EXPECT_EQ(r.RowIdOf(Tuple({i, -i}).data()),
+              i < 321 ? static_cast<RowId>(i) : Relation::kNoRow);
+  }
+  EXPECT_TRUE(r.Insert({400, -400}));
+  EXPECT_EQ(r.RowIdOf(Tuple({400, -400}).data()), 321u);
+  r.TruncateRows(0);
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.version(), 0u);
+  EXPECT_FALSE(r.Contains({1, -1}));
+}
+
+// MatchRows is the keyed probe a HashIndex answers: the same row ids, in
+// the same (insertion) order, for one or several key columns, across the
+// scan tail.
+TEST(RelationTest, MatchRowsListsWhatTheIndexBucketLists) {
+  for (Value rows = 29; rows <= 36; ++rows) {
+    Relation r(3);
+    for (Value i = 0; i < rows; ++i) r.Insert({i % 3, i % 5, i});
+    for (const std::vector<int>& positions :
+         std::vector<std::vector<int>>{{0}, {1}, {0, 1}, {1, 0}}) {
+      const HashIndex index(r, positions);
+      for (Value a = 0; a < 4; ++a) {
+        for (Value b = 0; b < 6; ++b) {
+          const Value key[2] = {a, b};
+          std::vector<RowId> ids = {999};  // appended to, not replaced
+          r.MatchRows(positions, key, &ids);
+          const RowSpan span = index.Lookup(key);
+          ASSERT_EQ(ids.size(), span.count + 1);
+          EXPECT_TRUE(std::equal(span.begin(), span.end(), ids.begin() + 1));
+        }
+      }
+    }
+  }
 }
 
 TEST(RelationTest, PartitionViewCoversRowRanges) {

@@ -149,8 +149,10 @@ void ServeConnection(Server& server, ListenState& state, int fd) {
         open = false;
         break;
       }
+      // MSG_NOSIGNAL: a peer that closed mid-reply fails this send with
+      // EPIPE instead of raising SIGPIPE, which would kill the daemon.
       ssize_t w = ::send(fd, reply_bytes.data() + sent,
-                         reply_bytes.size() - sent, 0);
+                         reply_bytes.size() - sent, MSG_NOSIGNAL);
       if (w <= 0) {
         open = false;
         break;
