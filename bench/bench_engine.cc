@@ -16,10 +16,11 @@
 // and the separable_select pair times σ pushed into a separable closure
 // against closure-then-select (Theorem 4.1). Rows that exist to measure one
 // strategy exit non-zero when the planner stops choosing it. Each row
-// records the worker count it ran with; the `meta` block records the host
-// (hardware threads, compiler, git sha) so cross-machine comparisons are
-// interpretable — worker counts above `hardware_concurrency` exercise the
-// parallel machinery without adding real parallelism.
+// records the worker count it ran with: 1 for every closure (its rounds
+// are serial), more only for the batched σ sweep, whose queries run on
+// parallel lanes. The `meta` block records the host (hardware threads,
+// compiler, git sha) so cross-machine comparisons are interpretable — lane
+// counts above `hardware_concurrency` add no real parallelism.
 
 #include <algorithm>
 #include <chrono>
@@ -107,15 +108,14 @@ void TimeInto(BenchResult* r, const std::function<double()>& once) {
 /// Times `reps` executions of `bound` and fills a BenchResult row. Each
 /// repetition resets the engine stats so `derivations` and `duplicates` are
 /// per-execution; `result_size` sums every closed relation (one unless the
-/// query is joint).
+/// query is joint). One query's rounds always run on one thread.
 BenchResult Run(const std::string& workload, const std::string& strategy,
-                int n, Engine& engine, const BoundQuery& bound, int workers,
-                int reps) {
+                int n, Engine& engine, const BoundQuery& bound, int reps) {
   BenchResult r;
   r.workload = workload;
   r.strategy = strategy;
   r.n = n;
-  r.workers = workers;
+  r.workers = 1;
   r.reps = reps;
   const std::string what = StrCat(workload, "/", strategy);
   TimeInto(&r, [&]() -> double {
@@ -139,7 +139,7 @@ BenchResult RunQuery(const std::string& workload, int n, Engine& engine,
   BoundQuery bound = prepared.Bind();
   if (query.has_seed()) bound.BindSeed(query.shared_seed());
   return Run(workload, StrategyName(prepared.plan().strategy), n, engine,
-             bound, prepared.plan().parallel_workers, reps);
+             bound, reps);
 }
 
 /// Exits non-zero unless the planner chose `want` for row `r`: the row
@@ -243,20 +243,13 @@ int Main(int argc, char** argv) {
   std::vector<BenchResult> results;
 
   // --- Transitive closure over a chain: deep recursion, no duplicates. ---
-  // Parallel semi-naive sweep: the same query at 1, 4 and 8 workers — the
-  // single-rule (one-group) case that only intra-round Δ partitioning can
-  // parallelize.
   {
     const int n = 512;
-    for (int workers : {1, 4, 8}) {
-      Database db;
-      db.GetOrCreate("e", 2) = ChainGraph(n);
-      EngineOptions options;
-      options.parallel_workers = workers;
-      Engine engine(std::move(db), options);
-      Query q = Query::Closure({TC("e")}).From(SelfLoops(n, 1));
-      results.push_back(RunQuery("tc_chain", n, engine, q, 3));
-    }
+    Database db;
+    db.GetOrCreate("e", 2) = ChainGraph(n);
+    Engine engine(std::move(db));
+    Query q = Query::Closure({TC("e")}).From(SelfLoops(n, 1));
+    results.push_back(RunQuery("tc_chain", n, engine, q, 3));
     // Naive is O(rounds × full relation): keep it small.
     Database db2;
     db2.GetOrCreate("e", 2) = ChainGraph(96);
@@ -276,43 +269,34 @@ int Main(int argc, char** argv) {
   // so the expected overhead is noise-level. ---
   {
     const int n = 512;
-    for (int workers : {1, 4, 8}) {
-      Database db;
-      db.GetOrCreate("e", 2) = ChainGraph(n);
-      EngineOptions options;
-      options.parallel_workers = workers;
-      Engine engine(std::move(db), options);
-      Query q = Query::Closure({TC("e")}).From(SelfLoops(n, 1));
-      PreparedQuery prepared =
-          OrDie(engine.Prepare(q), "planning governed_tc_chain");
-      MemoryBudget global(/*limit_bytes=*/std::size_t{1} << 40);
-      QueryBudget budget(/*limit_bytes=*/std::size_t{1} << 40, &global);
-      BoundQuery bound =
-          prepared.Bind().BindSeed(q.shared_seed()).WithBudget(&budget);
-      results.push_back(Run("governed_tc_chain",
-                            StrategyName(prepared.plan().strategy), n,
-                            engine, bound, prepared.plan().parallel_workers,
-                            3));
-    }
+    Database db;
+    db.GetOrCreate("e", 2) = ChainGraph(n);
+    Engine engine(std::move(db));
+    Query q = Query::Closure({TC("e")}).From(SelfLoops(n, 1));
+    PreparedQuery prepared =
+        OrDie(engine.Prepare(q), "planning governed_tc_chain");
+    MemoryBudget global(/*limit_bytes=*/std::size_t{1} << 40);
+    QueryBudget budget(/*limit_bytes=*/std::size_t{1} << 40, &global);
+    BoundQuery bound =
+        prepared.Bind().BindSeed(q.shared_seed()).WithBudget(&budget);
+    results.push_back(Run("governed_tc_chain",
+                          StrategyName(prepared.plan().strategy), n, engine,
+                          bound, 3));
   }
 
   // --- Transitive closure over a random sparse graph. ---
   {
     const int n = 1024;
-    for (int workers : {1, 4, 8}) {
-      Database db;
-      db.GetOrCreate("e", 2) = RandomGraph(n, n * 3, /*seed=*/17);
-      EngineOptions options;
-      options.parallel_workers = workers;
-      Engine engine(std::move(db), options);
-      Query q = Query::Closure({TC("e")}).From(SelfLoops(n, 8));
-      results.push_back(RunQuery("tc_random", n, engine, q, 3));
-      // The random-graph closure is the suite's noisiest workload:
-      // identical binaries have measured 0.54-1.0x run to run (dedup-heavy
-      // rounds, allocator- and cache-layout-sensitive). Let the diff gate
-      // at the measured spread instead of crying wolf at the default 20%.
-      results.back().noise_margin = 0.50;
-    }
+    Database db;
+    db.GetOrCreate("e", 2) = RandomGraph(n, n * 3, /*seed=*/17);
+    Engine engine(std::move(db));
+    Query q = Query::Closure({TC("e")}).From(SelfLoops(n, 8));
+    results.push_back(RunQuery("tc_random", n, engine, q, 3));
+    // The random-graph closure is the suite's noisiest workload: identical
+    // binaries have measured 0.54-1.0x run to run (dedup-heavy rounds,
+    // allocator- and cache-layout-sensitive). Let the diff gate at the
+    // measured spread instead of crying wolf at the default 20%.
+    results.back().noise_margin = 0.50;
   }
 
   // --- Transitive closure over a grid: duplicate derivations dominate. ---
@@ -343,8 +327,7 @@ int Main(int argc, char** argv) {
               "planning mutual_alt_reach");
     results.push_back(Run("mutual_alt_reach",
                           StrategyName(prepared.plan().strategy), nodes,
-                          engine, prepared.Bind().BindSeeds(w.seeds),
-                          prepared.plan().parallel_workers, 3));
+                          engine, prepared.Bind().BindSeeds(w.seeds), 3));
   }
 
   // --- Same-generation pair: the planner decomposes into B*C* (Thm 3.1). ---

@@ -365,4 +365,45 @@ print("peer close: daemon survived and served the next connection")
 PY
 shutdown_daemon "$FPORT" "$FAULT_PID" || { cat "$FAULT_LOG" >&2; exit 1; }
 
+# --- over-long line -----------------------------------------------------
+# A client sends one line longer than the daemon's 1 MiB line cap with no
+# newline. The daemon must answer ERR InvalidArgument, close that
+# connection, and keep serving: a fresh connection still answers PING.
+echo "--- over-long unterminated line ---"
+FAULT_LOG="$WORKDIR/long_line.log"
+start_daemon "$FAULT_LOG"
+python3 - "$FPORT" <<'PY'
+import socket, sys
+port = int(sys.argv[1])
+# One byte past the cap: the daemon has read every byte when it refuses
+# the line, so its close is an orderly FIN and the ERR reply arrives.
+s = socket.create_connection(("127.0.0.1", port), timeout=10)
+s.sendall(b"x" * ((1 << 20) + 1))
+data = b""
+try:
+    while True:
+        chunk = s.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+except socket.timeout:
+    sys.exit("FAIL: over-long line neither refused nor closed")
+s.close()
+if not data.startswith(b"ERR InvalidArgument"):
+    sys.exit(f"FAIL: over-long line got {data[:200]!r}, not ERR InvalidArgument")
+s = socket.create_connection(("127.0.0.1", port), timeout=10)
+s.sendall(b"PING\nQUIT\n")
+data = b""
+while b"OK bye\n" not in data:
+    chunk = s.recv(65536)
+    if not chunk:
+        break
+    data += chunk
+s.close()
+if b"OK pong" not in data:
+    sys.exit(f"FAIL: daemon did not serve after an over-long line:\n{data!r}")
+print("over-long line: ERR InvalidArgument, connection closed, daemon serving")
+PY
+shutdown_daemon "$FPORT" "$FAULT_PID" || { cat "$FAULT_LOG" >&2; exit 1; }
+
 echo "PASS: linrecd fault-injection smoke"

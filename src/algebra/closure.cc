@@ -1,61 +1,17 @@
 #include "algebra/closure.h"
 
-#include <algorithm>
-
-#include "common/parallel.h"
-
 namespace linrec {
-namespace {
-
-/// Computes every P_i = groups[i]* q concurrently on a WorkerPool (one
-/// chunk per group), each lane with its own IndexCache (HashIndex building
-/// mutates the cache, and the shared parameter relations are only ever
-/// read). Results and stats land in per-group slots, so no synchronization
-/// beyond the pool's work-stealing counter is needed. When the worker
-/// budget exceeds the group count, the surplus goes to Δ partitioning
-/// inside each group's rounds (`inner_workers`), so a 2-group closure on
-/// an 8-way budget still uses all eight lanes.
-std::vector<Result<Relation>> CloseGroupsInParallel(
-    const std::vector<std::vector<LinearRule>>& groups, const Database& db,
-    const Relation& q, std::vector<ClosureStats>* group_stats,
-    std::size_t workers, int inner_workers,
-    const CancellationToken* cancel) {
-  std::vector<Result<Relation>> parts;
-  parts.reserve(groups.size());
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    parts.push_back(Status::Internal("group closure not executed"));
-  }
-  WorkerPool pool(static_cast<int>(workers));
-  std::vector<IndexCache> caches(static_cast<std::size_t>(pool.lanes()));
-  pool.Run(groups.size(), [&](int lane, std::size_t i) {
-    // The pool swallows exceptions on its threads; convert them to the
-    // Status contract every other path uses.
-    try {
-      parts[i] = SemiNaiveClosure(groups[i], db, q, &(*group_stats)[i],
-                                  &caches[static_cast<std::size_t>(lane)],
-                                  inner_workers, cancel);
-    } catch (const std::exception& e) {
-      parts[i] =
-          Status::Internal(std::string("group closure threw: ") + e.what());
-    } catch (...) {
-      parts[i] = Status::Internal("group closure threw");
-    }
-  });
-  return parts;
-}
-
-}  // namespace
 
 Result<Relation> DirectClosure(const std::vector<LinearRule>& rules,
                                const Database& db, const Relation& q,
                                ClosureStats* stats, IndexCache* cache,
-                               int workers, const CancellationToken* cancel) {
-  return SemiNaiveClosure(rules, db, q, stats, cache, workers, cancel);
+                               const CancellationToken* cancel) {
+  return SemiNaiveClosure(rules, db, q, stats, cache, cancel);
 }
 
 Result<Relation> DecomposedClosure(
     const std::vector<std::vector<LinearRule>>& groups, const Database& db,
-    const Relation& q, ClosureStats* stats, IndexCache* cache, int workers,
+    const Relation& q, ClosureStats* stats, IndexCache* cache,
     const CancellationToken* cancel) {
   if (groups.empty()) {
     return Status::InvalidArgument("DecomposedClosure requires >= 1 group");
@@ -63,57 +19,16 @@ Result<Relation> DecomposedClosure(
   IndexCache local_cache;
   if (cache == nullptr) cache = &local_cache;
 
-  const int resolved = ResolveWorkers(workers);
-  std::size_t pool =
-      std::min(static_cast<std::size_t>(resolved), groups.size());
-
-  if (pool < 2 || groups.size() < 2) {
-    // Sequential product: thread the accumulating relation through each
-    // group closure, rightmost first. All workers go to the inside of the
-    // rounds (this covers the single-group case — the one the group-level
-    // parallel phase cannot speed up).
-    Relation current = q;
-    for (auto it = groups.rbegin(); it != groups.rend(); ++it) {
-      ClosureStats group_stats;
-      Result<Relation> next =
-          SemiNaiveClosure(*it, db, current, &group_stats, cache, resolved,
-                           cancel);
-      if (!next.ok()) return next.status();
-      current = std::move(next).value();
-      if (stats != nullptr) stats->Accumulate(group_stats);
-    }
-    return current;
-  }
-
-  // Parallel phase: P_i = G_i* q for every group at once; leftover worker
-  // budget beyond the group count parallelizes the inside of each group's
-  // rounds (total threads stay ≈ resolved, never pool × resolved).
-  const int inner_workers =
-      std::max(1, resolved / static_cast<int>(pool));
-  std::vector<ClosureStats> group_stats(groups.size());
-  std::vector<Result<Relation>> parts =
-      CloseGroupsInParallel(groups, db, q, &group_stats, pool,
-                            inner_workers, cancel);
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (!parts[i].ok()) return parts[i].status();
-    if (stats != nullptr) stats->Accumulate(group_stats[i]);
-  }
-
-  // Merge right-to-left in product order. Step i computes G_i*(current)
-  // as SemiNaiveResume(G_i, closed = P_i, extra = current): P_i ⊆
-  // G_i*(current) because current ⊇ q, so seeding from P_i is sound and
-  // only cross-group compositions are newly derived. The merge is
-  // inherently ordered, so its parallelism comes from Δ partitioning
-  // inside each resume.
-  Relation current = std::move(parts.back()).value();
-  for (std::size_t i = groups.size() - 1; i-- > 0;) {
-    ClosureStats merge_stats;
-    Result<Relation> merged = SemiNaiveResume(groups[i], db, *parts[i],
-                                              current, &merge_stats, cache,
-                                              resolved, cancel);
-    if (!merged.ok()) return merged.status();
-    current = std::move(merged).value();
-    if (stats != nullptr) stats->Accumulate(merge_stats);
+  // Thread the accumulating relation through each group closure, rightmost
+  // first.
+  Relation current = q;
+  for (auto it = groups.rbegin(); it != groups.rend(); ++it) {
+    ClosureStats group_stats;
+    Result<Relation> next =
+        SemiNaiveClosure(*it, db, current, &group_stats, cache, cancel);
+    if (!next.ok()) return next.status();
+    current = std::move(next).value();
+    if (stats != nullptr) stats->Accumulate(group_stats);
   }
   return current;
 }

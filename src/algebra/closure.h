@@ -23,29 +23,17 @@ Result<Relation> DirectClosure(const std::vector<LinearRule>& rules,
                                const Database& db, const Relation& q,
                                ClosureStats* stats = nullptr,
                                IndexCache* cache = nullptr,
-                               int workers = 1,
                                const CancellationToken* cancel = nullptr);
 
 /// groups[0]* groups[1]* ... groups[k-1]* q — the rightmost group closure is
-/// applied first, matching operator-product order. Callers are responsible
-/// for the cross-group commutativity that makes this equal the direct
-/// closure (PlanDecomposition produces such groups). All group closures
-/// share `cache` (or a local one when null).
-///
-/// `workers` follows the common/parallel.h rule (0 = hardware concurrency,
-/// 1 = serial) and is spent at two levels. With multiple groups and
-/// workers >= 2, the per-group closures P_i = G_i* q — independent of one
-/// another; only the *merge* must respect the product order — run
-/// concurrently, each on its own thread with its own IndexCache, and are
-/// then folded right-to-left with SemiNaiveResume, whose rounds themselves
-/// run Δ-partition parallel; each merge step seeds its Δ with the other
-/// groups' tuples only, so no group's own work is re-derived. With a
-/// single group (or a sequential product), the full worker count goes to
-/// intra-round Δ partitioning instead (eval/fixpoint.h).
+/// applied first, matching operator-product order: the accumulating
+/// relation is threaded through each group's semi-naive closure in turn.
+/// Callers are responsible for the cross-group commutativity that makes
+/// this equal the direct closure (PlanDecomposition produces such groups).
+/// All group closures share `cache` (or a local one when null).
 Result<Relation> DecomposedClosure(
     const std::vector<std::vector<LinearRule>>& groups, const Database& db,
     const Relation& q, ClosureStats* stats = nullptr,
-    IndexCache* cache = nullptr, int workers = 0,
-    const CancellationToken* cancel = nullptr);
+    IndexCache* cache = nullptr, const CancellationToken* cancel = nullptr);
 
 }  // namespace linrec

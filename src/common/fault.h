@@ -2,8 +2,8 @@
 // and the smoke harness can arm to fail on a precise, reproducible schedule.
 //
 // Each site calls FaultFires(site) at the moment the real failure would
-// happen (an allocation about to grow the pool, a worker about to pick up a
-// chunk, a socket about to be written). Disarmed — the default — a site
+// happen (an allocation about to grow the pool, a batch lane about to run a
+// query, a socket about to be written). Disarmed — the default — a site
 // costs one relaxed atomic load; built with -DLINREC_FAULT_INJECTION=0 the
 // call compiles to a constant `false` and the sites vanish entirely.
 //
@@ -32,7 +32,8 @@ enum class FaultSite : int {
   kPoolGrowth = 0,
   /// Dedup-table rehash growth (storage/relation.cc).
   kRehash,
-  /// A parallel-round lane about to run a Δ chunk (eval/fixpoint.cc).
+  /// A batch lane about to run one query's slot
+  /// (Engine::ExecuteBatchEach, src/engine/engine.cc).
   kWorkerDispatch,
   /// A reply about to be written to a client socket (tools/linrecd.cc).
   kSocketWrite,

@@ -26,8 +26,8 @@ void WorkerPool::OverrideThreadCapForTesting(int cap) {
   g_thread_cap_override.store(cap, std::memory_order_relaxed);
 }
 
-WorkerPool::WorkerPool(int lanes) : lanes_(std::max(lanes, 1)) {
-  int participants = std::min(lanes_, HardwareThreadCap());
+WorkerPool::WorkerPool(int lanes) {
+  const int participants = std::min(std::max(lanes, 1), HardwareThreadCap());
   threads_.reserve(static_cast<std::size_t>(participants - 1));
   for (int lane = 1; lane < participants; ++lane) {
     threads_.emplace_back([this, lane] { HelperLoop(lane); });

@@ -1,14 +1,14 @@
-// A minimal work-stealing worker pool for intra-round parallelism.
+// A minimal work-stealing worker pool: the batch lanes of
+// Engine::ExecuteBatchEach, which run a batch's independent queries
+// concurrently (every closure's rounds are serial on the lane that runs its
+// query).
 //
 // The pool model is deliberately simple: a Run() call publishes a batch of
 // `chunks` independent work items; every participating thread (the caller
 // plus the pool's helper threads) repeatedly claims the next unclaimed chunk
 // through one shared atomic counter until the batch is drained. Dynamic
-// claiming is what balances skewed chunks — a thread that finishes early
-// immediately steals the next chunk instead of idling at a static split.
-//
-// Threads persist across Run() calls, so a semi-naive closure that executes
-// hundreds of rounds pays thread creation once, not once per round.
+// claiming is what balances skewed work — a thread that finishes early
+// immediately claims the next item instead of idling at a static split.
 //
 // Lock discipline (statically enforced, see common/thread_annotations.h):
 // all batch hand-off state — the published function, chunk count,
@@ -37,10 +37,9 @@ int ResolveWorkers(int workers);
 /// A fixed-size pool of helper threads plus the calling thread, draining
 /// chunk batches via an atomic work-stealing counter.
 ///
-/// `lanes` is the logical parallelism callers size their per-lane state
-/// (output pools, index caches) for. The pool never runs more OS threads
+/// `lanes` is the requested parallelism. The pool never runs more OS threads
 /// than the host has hardware threads — oversubscribing a small machine
-/// with sleeping helpers would add context-switch cost to every round
+/// with sleeping helpers would add context-switch cost to every batch
 /// barrier without adding parallelism — so on an H-way host at most
 /// min(lanes, H) threads participate (helpers are lanes 1..k; the Run()
 /// caller is always lane 0 and always participates).
@@ -52,17 +51,12 @@ class WorkerPool {
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Logical lane count (the value passed to the constructor, >= 1).
-  int lanes() const { return lanes_; }
-  /// Actual participating threads: helpers + the caller. <= lanes().
-  int participants() const { return static_cast<int>(threads_.size()) + 1; }
-
   /// Runs fn(lane, chunk) for every chunk in [0, chunks). Chunks are
   /// claimed dynamically; `lane` identifies the executing thread (0 = the
   /// caller), so fn may use lane-indexed scratch without locking. Blocks
   /// until the batch is drained. Exceptions thrown by fn are caught and
   /// swallowed per chunk — fn must report failures through its own
-  /// lane-indexed state (closure code records a Status per lane).
+  /// lane- or chunk-indexed state (a batch records a Status per slot).
   void Run(std::size_t chunks,
            const std::function<void(int, std::size_t)>& fn)
       LINREC_EXCLUDES(mutex_);
@@ -75,7 +69,6 @@ class WorkerPool {
  private:
   void HelperLoop(int lane) LINREC_EXCLUDES(mutex_);
 
-  int lanes_;
   /// Helper threads; written once in the constructor, joined in the
   /// destructor after stopping_ is published — never touched mid-batch.
   std::vector<std::thread> threads_;
@@ -91,7 +84,7 @@ class WorkerPool {
   std::size_t chunk_count_ LINREC_GUARDED_BY(mutex_) = 0;
   /// Own cache line: every lane hammers this with fetch_add while stealing
   /// chunks; sharing its line with the batch bookkeeping the main thread
-  /// reads would false-share the hottest counter in a parallel round.
+  /// reads would false-share the hottest counter in a batch.
   alignas(64) std::atomic<std::size_t> next_chunk_{0};  // lint: hot-atomic
   std::uint64_t generation_ LINREC_GUARDED_BY(mutex_) = 0;
   int active_helpers_ LINREC_GUARDED_BY(mutex_) = 0;

@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "algebra/closure.h"
+#include "common/fault.h"
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "datalog/printer.h"
@@ -354,7 +355,6 @@ Result<ExecutionPlan> Engine::PlanParameterized(const Query& query) {
   }
 
   ExecutionPlan plan;
-  plan.parallel_workers = ResolveWorkers(options_.parallel_workers);
   if (query.is_joint()) {
     plan.strategy = Strategy::kJointSemiNaive;
     plan.members = query.members();
@@ -448,34 +448,22 @@ Engine::ExecutionBinding Engine::BindingOf(const BoundQuery& bound) {
 
 Result<QueryResult> Engine::Run(const ExecutionPlan& plan,
                                 const ExecutionBinding& binding,
-                                IndexCache* cache,
-                                int workers_override) const {
+                                IndexCache* cache) const {
   // Install this execution's budget: storage growth below charges the
-  // thread-local current budget, and the parallel rounds re-install it
-  // inside their worker lanes. Without a binding budget, any budget already
-  // in effect on this thread (e.g. installed by the serving layer around a
-  // whole goal) stays active. The guard converts a denial that escaped on
-  // the calling thread — the serial path — into the same typed
-  // ResourceExhausted the lanes report.
+  // thread-local current budget. Without a binding budget, any budget
+  // already in effect on this thread (e.g. installed by the serving layer
+  // around a whole goal) stays active. The guard converts a denial that
+  // escaped the closure into a typed ResourceExhausted.
   ScopedQueryBudget budget_scope(
       binding.budget != nullptr ? binding.budget : CurrentQueryBudget());
   return GuardAllocFailures([&]() -> Result<QueryResult> {
-    return RunImpl(plan, binding, cache, workers_override);
+    return RunImpl(plan, binding, cache);
   });
 }
 
 Result<QueryResult> Engine::RunImpl(const ExecutionPlan& plan,
                                     const ExecutionBinding& binding,
-                                    IndexCache* cache,
-                                    int workers_override) const {
-  // Plans from older callers may predate the resolved field; fall back to
-  // the engine's own options.
-  const int workers =
-      workers_override > 0
-          ? workers_override
-          : (plan.parallel_workers > 0
-                 ? plan.parallel_workers
-                 : ResolveWorkers(options_.parallel_workers));
+                                    IndexCache* cache) const {
   const CancellationToken* cancel = binding.cancel;
 
   if (plan.strategy == Strategy::kJointSemiNaive) {
@@ -493,7 +481,7 @@ Result<QueryResult> Engine::RunImpl(const ExecutionPlan& plan,
     result.joint = true;
     Result<std::vector<Relation>> out =
         JointSemiNaiveClosure(plan.members, plan.joint_rules, db_, *seeds,
-                              &result.stats, cache, workers, cancel);
+                              &result.stats, cache, cancel);
     if (!out.ok()) return out.status();
     result.relations = std::move(out).value();
     return result;
@@ -535,14 +523,13 @@ Result<QueryResult> Engine::RunImpl(const ExecutionPlan& plan,
   Result<Relation> out = Status::Internal("strategy not executed");
   switch (plan.strategy) {
     case Strategy::kNaive:
-      out = NaiveClosure(plan.rules, db_, seed, &s, cache, workers, cancel);
+      out = NaiveClosure(plan.rules, db_, seed, &s, cache, cancel);
       break;
     case Strategy::kSemiNaive:
       out = plan.factorization.has_value()
                 ? RedundantClosure(*plan.factorization, db_, seed, &s,
-                                   cache, workers, cancel)
-                : SemiNaiveClosure(plan.rules, db_, seed, &s, cache,
-                                   workers, cancel);
+                                   cache, cancel)
+                : SemiNaiveClosure(plan.rules, db_, seed, &s, cache, cancel);
       break;
     case Strategy::kDecomposed: {
       if (plan.groups.empty()) {
@@ -553,8 +540,7 @@ Result<QueryResult> Engine::RunImpl(const ExecutionPlan& plan,
       for (const std::vector<int>& group : plan.groups) {
         groups.push_back(plan.RulesOf(group));
       }
-      out = DecomposedClosure(groups, db_, seed, &s, cache, workers,
-                              cancel);
+      out = DecomposedClosure(groups, db_, seed, &s, cache, cancel);
       break;
     }
     case Strategy::kSeparable: {
@@ -569,12 +555,12 @@ Result<QueryResult> Engine::RunImpl(const ExecutionPlan& plan,
       out = SeparableClosureUnchecked(plan.RulesOf(plan.outer),
                                       plan.RulesOf(plan.inner),
                                       *selection, db_, seed, &s, cache,
-                                      workers, cancel);
+                                      cancel);
       break;
     }
     case Strategy::kPowerSum:
       out = PowerSum(plan.rules, db_, seed, plan.power_bound, &s, cache,
-                     workers, cancel);
+                     cancel);
       break;
     case Strategy::kJointSemiNaive:
       return Status::Internal("joint strategy handled above");
@@ -599,8 +585,7 @@ Result<QueryResult> Engine::Execute(const BoundQuery& bound) {
   LINREC_RETURN_IF_ERROR(bound.Validate());
   // The shared plan is used in place: the seed, σ value and cancellation
   // token flow through the binding, so executing never copies the plan.
-  Result<QueryResult> result = Run(*bound.plan(), BindingOf(bound), &cache_,
-                                   /*workers_override=*/0);
+  Result<QueryResult> result = Run(*bound.plan(), BindingOf(bound), &cache_);
   // Evict on the failure path too: an aborted execution (cancelled, budget
   // denied) may have left indexes over its already-destroyed temporaries in
   // the cache, and the next query would read dangling addresses.
@@ -648,13 +633,16 @@ std::vector<Result<QueryResult>> Engine::ExecuteBatchEach(
 
   auto run_one = [&](std::size_t i) {
     if (!runnable[i]) return;  // failed validation above
+    if (FaultFires(FaultSite::kWorkerDispatch)) {
+      slots[i] = Status::Internal(
+          StrCat("injected worker fault dispatching batch slot ", i));
+      return;
+    }
     TieredIndexCache cache(&cache_, &shared_relations);
-    // Each query runs its rounds serially: batch-level parallelism
-    // replaces intra-round parallelism, so results cannot depend on the
-    // lane schedule. The per-query temporary tier dies right here, at the
-    // end of the query; the shared tier is swept once, below.
-    slots[i] = Run(*batch[i].plan(), bindings[i], &cache,
-                   /*workers_override=*/1);
+    // Each query runs its rounds serially on this lane, so results cannot
+    // depend on the lane schedule. The per-query temporary tier dies right
+    // here, at the end of the query; the shared tier is swept once, below.
+    slots[i] = Run(*batch[i].plan(), bindings[i], &cache);
   };
 
   const int lanes = static_cast<int>(

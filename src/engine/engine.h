@@ -60,12 +60,10 @@ struct EngineOptions {
   bool enable_separable = true;
   bool enable_power_sum = true;
   bool enable_redundancy_elision = true;
-  /// Worker count applied to EVERY strategy (common/parallel.h rule:
-  /// 0 = one lane per hardware thread, 1 = serial). kDecomposed spends it
-  /// on parallel group closures first; every semi-naive/power-sum round —
-  /// including the single-group case no decomposition can touch — splits
-  /// its Δ into work-stealing chunks with thread-local output pools and a
-  /// sharded merge (eval/fixpoint.h).
+  /// Lanes ExecuteBatch / ExecuteBatchEach spread a batch's independent
+  /// queries across (common/parallel.h rule: 0 = one lane per hardware
+  /// thread, 1 = serial). Every closure's rounds run serially on the lane
+  /// that executes its query.
   int parallel_workers = 0;
   /// Memoize compiled plans keyed on (rule-set digest, σ, forced strategy)
   /// so repeated queries skip analysis and planning entirely.
@@ -116,10 +114,9 @@ class Engine {
   /// stats(); indexes over parameter relations are shared across calls.
   Result<QueryResult> Execute(const BoundQuery& bound);
 
-  /// Runs independent bound queries concurrently on the shared worker pool
-  /// (EngineOptions::parallel_workers lanes, capped at the batch size; the
-  /// queries themselves run their rounds serially — batch-level
-  /// parallelism replaces intra-round parallelism here). All queries share
+  /// Runs independent bound queries concurrently on a worker pool (one
+  /// lane per EngineOptions worker, capped at the batch size; each query
+  /// runs its rounds serially on its lane). All queries share
   /// one read-side IndexCache, so an index over a parameter relation is
   /// built once for the whole batch; per-query temporaries (Δs, seeds) use
   /// isolated private caches, and temporary-index eviction is deferred to
@@ -232,17 +229,15 @@ class Engine {
   /// `plan` (single-predicate or joint) with this `binding` against db_
   /// through `cache`, filling one QueryResult with this execution's stats.
   /// Const — it mutates no engine state, so batch lanes may call it
-  /// concurrently with distinct caches. `workers_override` > 0 replaces
-  /// the plan's resolved worker count (ExecuteBatchEach forces 1:
-  /// parallelism moves across queries). Installs the binding's budget for
+  /// concurrently with distinct caches. Installs the binding's budget for
   /// its duration and converts an escaped budget denial / bad_alloc into
   /// Status::ResourceExhausted (RunImpl is the unguarded body).
   Result<QueryResult> Run(const ExecutionPlan& plan,
-                          const ExecutionBinding& binding, IndexCache* cache,
-                          int workers_override) const;
+                          const ExecutionBinding& binding,
+                          IndexCache* cache) const;
   Result<QueryResult> RunImpl(const ExecutionPlan& plan,
                               const ExecutionBinding& binding,
-                              IndexCache* cache, int workers_override) const;
+                              IndexCache* cache) const;
   /// Fills groups via union-find over the memoized non-commuting pairs,
   /// appending per-pair verdicts to the plan's justification.
   Status ComputeGroups(ExecutionPlan* plan);

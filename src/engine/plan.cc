@@ -84,17 +84,8 @@ std::string ExecutionPlan::Explain() const {
     os << "  (plan A*(σ(B* q)))\n";
   }
 
-  if (parallel_workers <= 1) {
-    os << "parallel: serial (1 worker)\n";
-  } else {
-    os << "parallel: " << parallel_workers
-       << " workers — work-stealing Δ partitions inside every round, "
-          "thread-local output pools, sharded dedup merge";
-    if (strategy == Strategy::kDecomposed && groups.size() > 1) {
-      os << "; group closures run concurrently before the ordered merge";
-    }
-    os << "\n";
-  }
+  os << "parallel: rounds run serially; a batch runs its queries "
+        "concurrently, one per worker lane\n";
 
   if (selection.has_value()) {
     os << "selection: σ_{pos " << selection->position << " = ";

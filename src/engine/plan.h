@@ -54,11 +54,6 @@ struct ExecutionPlan {
   std::optional<RedundantFactorization> factorization;
   /// Predicates elided by the factorization (from the bounded bridges).
   std::vector<std::string> elided_predicates;
-  /// Resolved worker count the executor will use (from
-  /// EngineOptions::parallel_workers via ResolveWorkers): 1 = serial,
-  /// >= 2 = intra-round Δ-partition parallelism (plus group-level
-  /// parallelism for kDecomposed).
-  int parallel_workers = 1;
   /// Theorem-level reasons for the choice, in planning order.
   std::vector<std::string> justification;
   /// True when this plan was served from the engine's plan cache (same

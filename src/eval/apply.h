@@ -41,8 +41,8 @@ struct ApplyOptions {
 /// loop's Δ-carrying relation does; indexes are revalidated per Run through
 /// the caller's IndexCache).
 ///
-/// Not thread-safe: Run reuses internal scratch. Parallel rounds compile
-/// one instance per worker lane (compilation is cheap and per-closure).
+/// Not thread-safe: Run reuses internal scratch. Each closure compiles its
+/// own instances (compilation is cheap and per-closure).
 class CompiledRule {
  public:
   CompiledRule();

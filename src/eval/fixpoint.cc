@@ -12,9 +12,7 @@
 #include <optional>
 #include <string>
 
-#include "common/fault.h"
 #include "common/memory.h"
-#include "common/parallel.h"
 #include "common/strings.h"
 #include "datalog/equality.h"
 #include "datalog/printer.h"
@@ -23,18 +21,6 @@
 
 namespace linrec {
 namespace {
-
-/// A Δ chunk small enough to stay cache-resident per worker, large enough
-/// to amortize the per-chunk dispatch (an atomic claim + per-step index
-/// revalidation).
-constexpr std::size_t kMinChunkRows = 128;
-/// Rounds with fewer Δ rows than this run serially — the parallel round's
-/// fixed costs (wakeups, merge phases over 2^shard_bits shards) exceed
-/// the work.
-constexpr std::size_t kSerialRowThreshold = 256;
-/// Chunks per lane beyond the minimum, so early finishers have work to
-/// steal from skewed chunks.
-constexpr std::size_t kChunksPerLane = 4;
 
 /// RAII accumulator: adds the enclosing scope's wall-clock milliseconds to
 /// stats->millis (no-op when stats is null).
@@ -102,28 +88,21 @@ std::size_t TotalSize(const std::vector<Relation*>& rels) {
 }
 
 /// Applies one prepared rule set to Δ row ranges of M member relations —
-/// the engine of every round below. Compiles each rule once per worker lane
-/// against its recursive member's relation (the join plan and its scratch
-/// are lane-private); each Round() then either runs lane 0 serially or fans
-/// cache-sized chunks of every member's Δ out to the work-stealing pool and
-/// folds the per-member thread-local output pools into the targets through
-/// the sharded merger. Lanes, their index caches, output pools, the pool's
-/// threads and the merger's scratch all persist across rounds: the steady
-/// state does no locking and no allocation on the hot path.
+/// the engine of every round below. Compiles each rule once against its
+/// recursive member's relation (the join plan and its scratch persist
+/// across rounds, so the steady state allocates nothing on the hot path);
+/// each Round() runs every rule over its member's Δ and emits the derived
+/// rows straight into the head member's target.
 class RoundExecutor {
  public:
   /// `inputs[m]` is member m's relation: every rule whose recursive member
   /// is m reads it, and row ranges passed to Round() index into it. The
   /// relations must stay at their addresses for the executor's lifetime.
   /// They may be (and for every loop but PowerSum's are) the targets
-  /// Round() merges into: a target is mutated only after all reads of the
-  /// batch have completed.
+  /// Round() appends to.
   RoundExecutor(const std::vector<JointRule>& rules, const Database& db,
-                std::vector<Relation*> inputs, int workers)
-      : rules_(&rules),
-        db_(&db),
-        inputs_(std::move(inputs)),
-        workers_(std::max(workers, 1)) {
+                std::vector<Relation*> inputs)
+      : rules_(&rules), db_(&db), inputs_(std::move(inputs)) {
     by_member_.resize(inputs_.size());
     for (std::size_t k = 0; k < rules.size(); ++k) {
       by_member_[static_cast<std::size_t>(rules[k].recursive_member)]
@@ -135,209 +114,60 @@ class RoundExecutor {
   /// reads cannot drive further derivations.
   bool Feeds(std::size_t m) const { return !by_member_[m].empty(); }
 
-  /// Compiles every rule for every lane. Lane 0 borrows `caller_cache` (so
-  /// the caller's parameter-relation indexes are shared, exactly like the
-  /// serial path always has); other lanes own private caches that live
-  /// across rounds.
-  Status Compile(IndexCache* caller_cache) {
-    lanes_.resize(static_cast<std::size_t>(workers_));
-    for (Lane& lane : lanes_) {
-      lane.out.clear();
-      lane.out.reserve(inputs_.size());
-      for (const Relation* r : inputs_) lane.out.emplace_back(r->arity());
-      lane.compiled.clear();
-      lane.compiled.reserve(rules_->size());
-      for (const JointRule& jr : *rules_) {
-        ApplyOptions options;
-        options.overrides = jr.pinned;
-        options.overrides[jr.recursive_atom] =
-            inputs_[static_cast<std::size_t>(jr.recursive_member)];
-        options.first_atom = jr.recursive_atom;
-        Result<CompiledRule> compiled = CompileRule(jr.rule, *db_, options);
-        if (!compiled.ok()) return compiled.status();
-        lane.compiled.push_back(std::move(compiled).value());
-      }
+  /// Compiles every rule; every round probes parameter relations through
+  /// `cache`, which must outlive the executor.
+  Status Compile(IndexCache* cache) {
+    compiled_.clear();
+    compiled_.reserve(rules_->size());
+    for (const JointRule& jr : *rules_) {
+      ApplyOptions options;
+      options.overrides = jr.pinned;
+      options.overrides[jr.recursive_atom] =
+          inputs_[static_cast<std::size_t>(jr.recursive_member)];
+      options.first_atom = jr.recursive_atom;
+      Result<CompiledRule> compiled = CompileRule(jr.rule, *db_, options);
+      if (!compiled.ok()) return compiled.status();
+      compiled_.push_back(std::move(compiled).value());
     }
-    caller_cache_ = caller_cache;
-    if (workers_ > 1) {
-      pool_.emplace(workers_);
-      pools_.reserve(lanes_.size());
-    }
+    cache_ = cache;
     return Status::OK();
   }
 
   /// Applies every rule to its recursive member's input rows
   /// [begin[m], end[m]) and appends the derived rows missing from the head
-  /// member's target to that target. The resulting relations are identical
-  /// for every worker count; only the insertion order of the new rows
-  /// varies with the chunking. A non-null `cancel` is checked at every
-  /// Δ-chunk boundary (and inside the join cursor), so one runaway round
-  /// stops in milliseconds instead of running to completion.
+  /// member's target to that target — one dedup probe per derivation. A
+  /// non-null `cancel` is checked inside the join cursor, so one runaway
+  /// round stops in milliseconds instead of running to completion.
+  ///
+  /// Safe even when the targets are the inputs (the semi-naive case): each
+  /// Δ scan is bounded by `end`, the recursive atom is the only step
+  /// reading a member relation (the rules are linear), and the join kernel
+  /// re-resolves row pointers per candidate, so appends to any member —
+  /// including the one being scanned — never invalidate a live read.
   Status Round(const std::vector<RowId>& begin, const std::vector<RowId>& end,
                const std::vector<Relation*>& targets, ClosureStats* stats,
                const CancellationToken* cancel) {
-    std::size_t rows = 0;
     for (std::size_t m = 0; m < inputs_.size(); ++m) {
-      if (Feeds(m)) rows += end[m] - begin[m];
-    }
-    if (rows == 0) return Status::OK();
-    // The chunked path only pays for itself with real threads: when the
-    // host gives the pool no helpers (single hardware thread), thread-local
-    // pools and the sharded merge are pure overhead over direct emission.
-    if (workers_ == 1 || rows < kSerialRowThreshold ||
-        pool_->participants() == 1) {
-      return SerialRound(begin, end, targets, stats, cancel);
-    }
-
-    const std::size_t chunk = std::max(
-        kMinChunkRows,
-        rows / (static_cast<std::size_t>(workers_) * kChunksPerLane));
-    items_.clear();
-    for (std::size_t m = 0; m < inputs_.size(); ++m) {
-      if (!Feeds(m)) continue;
-      for (RowId b = begin[m]; b < end[m];) {
-        const RowId e =
-            static_cast<RowId>(std::min<std::size_t>(end[m], b + chunk));
-        items_.push_back(Item{m, b, e});
-        b = e;
-      }
-    }
-    for (Lane& lane : lanes_) {
-      for (Relation& out : lane.out) out.Clear();
-      lane.stats = ClosureStats{};
-      lane.status = Status::OK();
-    }
-    // Pool threads have their own (empty) budget TLS: re-install the calling
-    // thread's budget inside every lane so their output-pool growth is
-    // charged to the query being evaluated.
-    QueryBudget* budget = CurrentQueryBudget();
-    pool_->Run(items_.size(), [&, budget](int lane_id, std::size_t i) {
-      Lane& lane = lanes_[static_cast<std::size_t>(lane_id)];
-      if (!lane.status.ok()) return;
-      if (cancel != nullptr && cancel->stop_requested()) {
-        lane.status = cancel->Check();
-        return;
-      }
-      if (FaultFires(FaultSite::kWorkerDispatch)) {
-        lane.status = Status::Internal(
-            StrCat("injected worker fault dispatching chunk ", i));
-        return;
-      }
-      ScopedQueryBudget budget_scope(budget);
-      const Item& item = items_[i];
-      PartitionView slice = inputs_[item.member]->View(item.begin, item.end);
-      for (int k : by_member_[item.member]) {
-        Relation* out = &lane.out[HeadOf(k)];
-        Status s = lane.RunOne(&lane.compiled[static_cast<std::size_t>(k)],
-                               slice, out, LaneCache(lane_id), cancel);
-        if (!s.ok()) {
-          lane.status = std::move(s);
-          return;
-        }
-      }
-    });
-    for (Lane& lane : lanes_) {
-      if (!lane.status.ok()) return lane.status;
-      if (stats != nullptr) stats->Accumulate(lane.stats);
-    }
-    for (std::size_t m = 0; m < targets.size(); ++m) {
-      pools_.clear();
-      for (Lane& lane : lanes_) pools_.push_back(&lane.out[m]);
-      try {
-        merger_.Merge(pools_.data(), pools_.size(), targets[m], &*pool_);
-      } catch (const ResourceExhaustedError& e) {
-        return Status::ResourceExhausted(e.what());
-      } catch (const std::exception& e) {
-        return Status::Internal(StrCat("parallel merge threw: ", e.what()));
-      } catch (...) {
-        return Status::Internal("parallel merge threw");
+      if (begin[m] >= end[m]) continue;
+      PartitionView slice = inputs_[m]->View(begin[m], end[m]);
+      for (int k : by_member_[m]) {
+        const std::size_t head = static_cast<std::size_t>(
+            (*rules_)[static_cast<std::size_t>(k)].head_member);
+        LINREC_RETURN_IF_ERROR(
+            compiled_[static_cast<std::size_t>(k)].RunPartition(
+                slice, targets[head], stats, cache_, cancel));
       }
     }
     return Status::OK();
   }
 
  private:
-  struct Item {
-    std::size_t member;
-    RowId begin;
-    RowId end;
-  };
-
-  // Cache-line aligned: each worker lane mutates its own entry (stats
-  // counters, output pool headers) on every candidate row; without the
-  // alignment two lanes' hot fields can share one line and ping-pong it.
-  struct alignas(64) Lane {
-    std::vector<CompiledRule> compiled;  // one per rule
-    std::vector<Relation> out;           // one output pool per member
-    IndexCache cache;
-    ClosureStats stats;
-    Status status;
-
-    /// Wrapped so an exception escaping the join (a denied budget charge,
-    /// bad_alloc, a throwing assertion) becomes a Status instead of
-    /// terminating a pool thread.
-    Status RunOne(CompiledRule* rule, PartitionView slice, Relation* target,
-                  IndexCache* cache_ptr, const CancellationToken* cancel) {
-      try {
-        return rule->RunPartition(slice, target, &stats, cache_ptr, cancel);
-      } catch (const ResourceExhaustedError& e) {
-        return Status::ResourceExhausted(e.what());
-      } catch (const std::bad_alloc&) {
-        return Status::ResourceExhausted(
-            "allocation failed in parallel round (out of memory)");
-      } catch (const std::exception& e) {
-        return Status::Internal(StrCat("parallel round threw: ", e.what()));
-      } catch (...) {
-        return Status::Internal("parallel round threw");
-      }
-    }
-  };
-
-  std::size_t HeadOf(int rule) const {
-    return static_cast<std::size_t>(
-        (*rules_)[static_cast<std::size_t>(rule)].head_member);
-  }
-
-  IndexCache* LaneCache(int lane_id) {
-    if (lane_id == 0 && caller_cache_ != nullptr) return caller_cache_;
-    return &lanes_[static_cast<std::size_t>(lane_id)].cache;
-  }
-
-  Status SerialRound(const std::vector<RowId>& begin,
-                     const std::vector<RowId>& end,
-                     const std::vector<Relation*>& targets,
-                     ClosureStats* stats, const CancellationToken* cancel) {
-    // Emit straight into the targets — no intermediate pool, one dedup
-    // probe per derivation. Safe even when the targets are the inputs (the
-    // semi-naive case): each Δ scan is bounded by `end`, the recursive atom
-    // is the only step reading a member relation (the rules are linear),
-    // and the join kernel re-resolves row pointers per candidate, so
-    // appends to any member — including the one being scanned — never
-    // invalidate a live read.
-    Lane& lane = lanes_.front();
-    for (std::size_t m = 0; m < inputs_.size(); ++m) {
-      if (begin[m] >= end[m]) continue;
-      PartitionView slice = inputs_[m]->View(begin[m], end[m]);
-      for (int k : by_member_[m]) {
-        LINREC_RETURN_IF_ERROR(
-            lane.compiled[static_cast<std::size_t>(k)].RunPartition(
-                slice, targets[HeadOf(k)], stats, LaneCache(0), cancel));
-      }
-    }
-    return Status::OK();
-  }
-
   const std::vector<JointRule>* rules_;
   const Database* db_;
   std::vector<Relation*> inputs_;
-  int workers_;
-  IndexCache* caller_cache_ = nullptr;
+  IndexCache* cache_ = nullptr;
   std::vector<std::vector<int>> by_member_;  // member → consuming rules
-  std::vector<Lane> lanes_;
-  std::vector<Item> items_;
-  std::vector<const Relation*> pools_;
-  std::optional<WorkerPool> pool_;
-  PoolMerger merger_;
+  std::vector<CompiledRule> compiled_;       // one per rule
 };
 
 /// The one stats epilogue. A record may be threaded through several calls,
@@ -362,7 +192,7 @@ void Finish(ClosureStats* stats, std::size_t derivations_before,
 /// from row 0 and stops once a full re-application adds nothing.
 Status Close(std::vector<JointRule> rules, const Database& db,
              const std::vector<Relation*>& rels, std::vector<RowId> begin,
-             bool naive, ClosureStats* stats, IndexCache* cache, int workers,
+             bool naive, ClosureStats* stats, IndexCache* cache,
              const CancellationToken* cancel) {
   Result<std::vector<JointRule>> prepared =
       PrepareJointRules(std::move(rules));
@@ -373,7 +203,7 @@ Status Close(std::vector<JointRule> rules, const Database& db,
   const std::size_t seeded = TotalSize(rels);
 
   if (!prepared->empty()) {
-    RoundExecutor executor(*prepared, db, rels, workers);
+    RoundExecutor executor(*prepared, db, rels);
     LINREC_RETURN_IF_ERROR(executor.Compile(cache));
     std::vector<RowId> end(rels.size());
     for (;;) {
@@ -499,15 +329,14 @@ Result<std::vector<Relation>> CloseJoint(
     const std::vector<std::string>& members,
     const std::vector<JointRule>& rules, const Database& db,
     const std::vector<Relation>& seeds, ClosureStats* stats,
-    IndexCache* cache, int workers, bool naive,
-    const CancellationToken* cancel) {
+    IndexCache* cache, bool naive, const CancellationToken* cancel) {
   return GuardAllocFailures([&]() -> Result<std::vector<Relation>> {
     LINREC_RETURN_IF_ERROR(ValidateJointRules(members, rules, seeds));
     ClosureTimer timer(stats);
     std::vector<Relation> rels = seeds;
     LINREC_RETURN_IF_ERROR(Close(rules, db, Pointers(&rels),
                                  std::vector<RowId>(rels.size(), 0), naive,
-                                 stats, cache, workers, cancel));
+                                 stats, cache, cancel));
     return rels;
   });
 }
@@ -554,21 +383,17 @@ Status ValidateJointRuleStructure(const std::vector<std::string>& members,
 // Every public closure entry point runs under GuardAllocFailures: a denied
 // budget charge (or injected allocation fault) on the calling thread throws
 // ResourceExhaustedError out of the storage layer, and the guard converts it
-// — like a genuine bad_alloc — into Status::ResourceExhausted. Worker-lane
-// threads convert theirs in Lane::RunOne, so both paths produce the same
-// typed status.
+// — like a genuine bad_alloc — into Status::ResourceExhausted.
 Result<Relation> SemiNaiveClosure(const std::vector<LinearRule>& rules,
                                   const Database& db, const Relation& q,
                                   ClosureStats* stats, IndexCache* cache,
-                                  int workers,
                                   const CancellationToken* cancel) {
   return GuardAllocFailures([&]() -> Result<Relation> {
     LINREC_RETURN_IF_ERROR(ValidateRules(rules, q));
     ClosureTimer timer(stats);
     Relation result = q;
     LINREC_RETURN_IF_ERROR(Close(AsJoint(rules), db, {&result}, {0},
-                                 /*naive=*/false, stats, cache, workers,
-                                 cancel));
+                                 /*naive=*/false, stats, cache, cancel));
     return result;
   });
 }
@@ -576,7 +401,7 @@ Result<Relation> SemiNaiveClosure(const std::vector<LinearRule>& rules,
 Result<Relation> SemiNaiveResume(const std::vector<LinearRule>& rules,
                                  const Database& db, const Relation& closed,
                                  const Relation& extra, ClosureStats* stats,
-                                 IndexCache* cache, int workers,
+                                 IndexCache* cache,
                                  const CancellationToken* cancel) {
   return GuardAllocFailures([&]() -> Result<Relation> {
     LINREC_RETURN_IF_ERROR(ValidateRules(rules, closed));
@@ -598,7 +423,7 @@ Result<Relation> SemiNaiveResume(const std::vector<LinearRule>& rules,
     for (TupleView t : extra) result.Insert(t);
     LINREC_RETURN_IF_ERROR(Close(AsJoint(rules), db, {&result},
                                  {delta_begin}, /*naive=*/false, stats,
-                                 cache, workers, cancel));
+                                 cache, cancel));
     return result;
   });
 }
@@ -606,8 +431,7 @@ Result<Relation> SemiNaiveResume(const std::vector<LinearRule>& rules,
 Status SemiNaiveExtend(const std::vector<LinearRule>& rules,
                        const Database& db, Relation* result,
                        RowId delta_begin, ClosureStats* stats,
-                       IndexCache* cache, int workers,
-                       const CancellationToken* cancel) {
+                       IndexCache* cache, const CancellationToken* cancel) {
   return GuardAllocFailures([&]() -> Status {
     LINREC_RETURN_IF_ERROR(ValidateRules(rules, *result));
     if (delta_begin > result->size()) {
@@ -617,21 +441,20 @@ Status SemiNaiveExtend(const std::vector<LinearRule>& rules,
     }
     ClosureTimer timer(stats);
     return Close(AsJoint(rules), db, {result}, {delta_begin},
-                 /*naive=*/false, stats, cache, workers, cancel);
+                 /*naive=*/false, stats, cache, cancel);
   });
 }
 
 Result<Relation> NaiveClosure(const std::vector<LinearRule>& rules,
                               const Database& db, const Relation& q,
                               ClosureStats* stats, IndexCache* cache,
-                              int workers, const CancellationToken* cancel) {
+                              const CancellationToken* cancel) {
   return GuardAllocFailures([&]() -> Result<Relation> {
     LINREC_RETURN_IF_ERROR(ValidateRules(rules, q));
     ClosureTimer timer(stats);
     Relation result = q;
     LINREC_RETURN_IF_ERROR(Close(AsJoint(rules), db, {&result}, {0},
-                                 /*naive=*/true, stats, cache, workers,
-                                 cancel));
+                                 /*naive=*/true, stats, cache, cancel));
     return result;
   });
 }
@@ -639,8 +462,7 @@ Result<Relation> NaiveClosure(const std::vector<LinearRule>& rules,
 Result<Relation> PowerSum(const std::vector<LinearRule>& rules,
                           const Database& db, const Relation& q,
                           int max_power, ClosureStats* stats,
-                          IndexCache* cache, int workers,
-                          const CancellationToken* cancel) {
+                          IndexCache* cache, const CancellationToken* cancel) {
   return GuardAllocFailures([&]() -> Result<Relation> {
     LINREC_RETURN_IF_ERROR(ValidateRules(rules, q));
     if (max_power < 0) {
@@ -660,7 +482,7 @@ Result<Relation> PowerSum(const std::vector<LinearRule>& rules,
       // executor writes each power into `next`, then the two swap.
       Relation current = q;
       Relation next(q.arity());
-      RoundExecutor executor(*prepared, db, {&current}, workers);
+      RoundExecutor executor(*prepared, db, {&current});
       LINREC_RETURN_IF_ERROR(executor.Compile(cache));
       const std::vector<Relation*> targets = {&next};
       const std::vector<RowId> begin = {0};
@@ -686,8 +508,8 @@ Result<std::vector<Relation>> JointSemiNaiveClosure(
     const std::vector<std::string>& members,
     const std::vector<JointRule>& rules, const Database& db,
     const std::vector<Relation>& seeds, ClosureStats* stats,
-    IndexCache* cache, int workers, const CancellationToken* cancel) {
-  return CloseJoint(members, rules, db, seeds, stats, cache, workers,
+    IndexCache* cache, const CancellationToken* cancel) {
+  return CloseJoint(members, rules, db, seeds, stats, cache,
                     /*naive=*/false, cancel);
 }
 
@@ -695,8 +517,8 @@ Result<std::vector<Relation>> JointNaiveClosure(
     const std::vector<std::string>& members,
     const std::vector<JointRule>& rules, const Database& db,
     const std::vector<Relation>& seeds, ClosureStats* stats,
-    IndexCache* cache, int workers, const CancellationToken* cancel) {
-  return CloseJoint(members, rules, db, seeds, stats, cache, workers,
+    IndexCache* cache, const CancellationToken* cancel) {
+  return CloseJoint(members, rules, db, seeds, stats, cache,
                     /*naive=*/true, cancel);
 }
 
@@ -705,7 +527,7 @@ Status JointSemiNaiveExtend(const std::vector<std::string>& members,
                             const Database& db, std::vector<Relation>* rels,
                             const std::vector<RowId>& delta_begin,
                             ClosureStats* stats, IndexCache* cache,
-                            int workers, const CancellationToken* cancel) {
+                            const CancellationToken* cancel) {
   return GuardAllocFailures([&]() -> Status {
     LINREC_RETURN_IF_ERROR(ValidateJointRules(members, rules, *rels));
     if (delta_begin.size() != rels->size()) {
@@ -722,7 +544,7 @@ Status JointSemiNaiveExtend(const std::vector<std::string>& members,
     }
     ClosureTimer timer(stats);
     return Close(rules, db, Pointers(rels), delta_begin, /*naive=*/false,
-                 stats, cache, workers, cancel);
+                 stats, cache, cancel);
   });
 }
 

@@ -5,19 +5,12 @@
 // eval/joint.h: both run on one round executor (eval/fixpoint.cc), which
 // treats each rule here as a joint rule heading and reading member 0.
 //
-// Every engine accepts a `workers` count (see common/parallel.h for the
-// resolution rule: 0 = one lane per hardware thread, 1 = serial). With
-// workers >= 2 the INSIDE of each round is parallelized: Δ is split into
-// cache-sized chunks claimed by a work-stealing pool, each worker runs the
-// compiled join cursor against a thread-local output pool (no locks on the
-// hot path, per-worker index caches reused across rounds), and the pools
-// are folded into the global relation by a sharded, contention-free merge
-// (storage/relation.h PoolMerger). Because the rounds of a semi-naive
-// closure multiply — a speedup inside the recursion step applies to every
-// round — this parallelizes the single-group (non-commuting) case that the
-// Theorem 3.1 decomposition cannot touch.
+// Every round runs serially on the calling thread: the rules are compiled
+// once, and each round emits its derivations straight into the target
+// relation, one dedup probe per derivation. Parallelism lives one level up,
+// across the independent queries of a batch (Engine::ExecuteBatchEach).
 //
-// Every engine also accepts an optional CancellationToken, checked at round
+// Every engine accepts an optional CancellationToken, checked at round
 // boundaries: a cancelled or deadline-expired token stops the fixpoint with
 // kCancelled / kDeadlineExceeded after at most one more round.
 
@@ -41,13 +34,11 @@ namespace linrec {
 ///
 /// All rules must share the head predicate and arity of `q`. Parameter
 /// relations are read from `db`; the recursive predicate itself is never
-/// read from `db`. `workers` parallelizes the inside of each round (the
-/// result is the same relation for every worker count).
+/// read from `db`.
 Result<Relation> SemiNaiveClosure(const std::vector<LinearRule>& rules,
                                   const Database& db, const Relation& q,
                                   ClosureStats* stats = nullptr,
                                   IndexCache* cache = nullptr,
-                                  int workers = 1,
                                   const CancellationToken* cancel = nullptr);
 
 /// Semi-naive continuation: computes (Σ rules)* (closed ∪ extra) given that
@@ -55,15 +46,12 @@ Result<Relation> SemiNaiveClosure(const std::vector<LinearRule>& rules,
 /// missing from `closed` seed the Δ, so the closed part is never re-derived.
 /// Sound because the operators are linear: each derivation consumes exactly
 /// one recursive tuple, and derivations from `closed` tuples land in
-/// `closed`. The parallel decomposed closure uses this to merge
-/// independently computed group closures (storage cost: one copy of
-/// `closed`).
+/// `closed` (storage cost: one copy of `closed`).
 Result<Relation> SemiNaiveResume(const std::vector<LinearRule>& rules,
                                  const Database& db, const Relation& closed,
                                  const Relation& extra,
                                  ClosureStats* stats = nullptr,
                                  IndexCache* cache = nullptr,
-                                 int workers = 1,
                                  const CancellationToken* cancel = nullptr);
 
 /// In-place semi-naive continuation — the primitive behind SemiNaiveResume
@@ -79,7 +67,7 @@ Result<Relation> SemiNaiveResume(const std::vector<LinearRule>& rules,
 Status SemiNaiveExtend(const std::vector<LinearRule>& rules,
                        const Database& db, Relation* result,
                        RowId delta_begin, ClosureStats* stats = nullptr,
-                       IndexCache* cache = nullptr, int workers = 1,
+                       IndexCache* cache = nullptr,
                        const CancellationToken* cancel = nullptr);
 
 /// Same fixpoint by naive evaluation: each round applies every operator to
@@ -88,7 +76,7 @@ Status SemiNaiveExtend(const std::vector<LinearRule>& rules,
 Result<Relation> NaiveClosure(const std::vector<LinearRule>& rules,
                               const Database& db, const Relation& q,
                               ClosureStats* stats = nullptr,
-                              IndexCache* cache = nullptr, int workers = 1,
+                              IndexCache* cache = nullptr,
                               const CancellationToken* cancel = nullptr);
 
 /// Computes the single power sum Σ_{m=0}^{max_power} A^m q where A is the
@@ -97,7 +85,7 @@ Result<Relation> NaiveClosure(const std::vector<LinearRule>& rules,
 Result<Relation> PowerSum(const std::vector<LinearRule>& rules,
                           const Database& db, const Relation& q,
                           int max_power, ClosureStats* stats = nullptr,
-                          IndexCache* cache = nullptr, int workers = 1,
+                          IndexCache* cache = nullptr,
                           const CancellationToken* cancel = nullptr);
 
 }  // namespace linrec

@@ -79,8 +79,7 @@ class IndexCache {
 
   IndexCache() = default;
   virtual ~IndexCache() = default;
-  // Movable (per-lane caches live in resizable vectors); not copyable —
-  // the entries own their indexes.
+  // Movable; not copyable — the entries own their indexes.
   IndexCache(IndexCache&&) = default;
   IndexCache& operator=(IndexCache&&) = default;
 

@@ -10,9 +10,8 @@
 // row-range per member relation. This is the general case of the one round
 // executor (eval/fixpoint.cc): the single-relation closures of
 // eval/fixpoint.h are its M=1 instance. Rules compile once per closure
-// (eval/apply.h CompiledRule); with workers >= 2 each round fans every
-// member's Δ chunks to the shared work-stealing pool and folds per-member
-// thread-local output pools through the sharded PoolMerger.
+// (eval/apply.h CompiledRule) and every round runs serially, appending each
+// member's derivations straight into its relation.
 
 #pragma once
 
@@ -84,8 +83,7 @@ Status ValidateJointRuleStructure(const std::vector<std::string>& members,
 /// closed under every rule, by multi-relation semi-naive evaluation: each
 /// round applies every rule to the Δ row-range of its recursive member
 /// only. members[i] names P_i (used for validation); member arities are
-/// the seed arities. The result is the same family of relations for
-/// every worker count.
+/// the seed arities.
 ///
 /// Equality atoms in rule bodies are statically eliminated up front
 /// (rules left unsatisfiable contribute nothing). Parameter relations are
@@ -95,8 +93,7 @@ Result<std::vector<Relation>> JointSemiNaiveClosure(
     const std::vector<std::string>& members,
     const std::vector<JointRule>& rules, const Database& db,
     const std::vector<Relation>& seeds, ClosureStats* stats = nullptr,
-    IndexCache* cache = nullptr, int workers = 1,
-    const CancellationToken* cancel = nullptr);
+    IndexCache* cache = nullptr, const CancellationToken* cancel = nullptr);
 
 /// In-place joint continuation — the multi-member counterpart of
 /// SemiNaiveExtend (eval/fixpoint.h), used by the IVM delta engine.
@@ -112,7 +109,7 @@ Status JointSemiNaiveExtend(const std::vector<std::string>& members,
                             const Database& db, std::vector<Relation>* rels,
                             const std::vector<RowId>& delta_begin,
                             ClosureStats* stats = nullptr,
-                            IndexCache* cache = nullptr, int workers = 1,
+                            IndexCache* cache = nullptr,
                             const CancellationToken* cancel = nullptr);
 
 /// The same fixpoint by naive evaluation: each round re-applies every rule
@@ -122,7 +119,6 @@ Result<std::vector<Relation>> JointNaiveClosure(
     const std::vector<std::string>& members,
     const std::vector<JointRule>& rules, const Database& db,
     const std::vector<Relation>& seeds, ClosureStats* stats = nullptr,
-    IndexCache* cache = nullptr, int workers = 1,
-    const CancellationToken* cancel = nullptr);
+    IndexCache* cache = nullptr, const CancellationToken* cancel = nullptr);
 
 }  // namespace linrec

@@ -229,7 +229,6 @@ Result<ApplyOutcome> Engine::Apply(MaterializedView& view,
   }
   std::vector<std::pair<Relation*, std::size_t>> param_pre;
 
-  const int workers = plan.parallel_workers > 0 ? plan.parallel_workers : 1;
   ApplyOutcome outcome;
   outcome.appended.assign(members, {0, 0});
 
@@ -301,7 +300,7 @@ Result<ApplyOutcome> Engine::Apply(MaterializedView& view,
     }
     Status extended =
         JointSemiNaiveExtend(rules.members, rules.rules, db_, &rels, begin,
-                             &outcome.stats, &cache_, workers, cancel);
+                             &outcome.stats, &cache_, cancel);
     for (std::size_t m = 0; m < members; ++m) {
       *closed[m] = std::move(rels[m]);
     }
@@ -388,8 +387,6 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
   Result<std::vector<JointRule>> delta_rules = PrepareJointRules(rules.rules);
   if (!delta_rules.ok()) return delta_rules.status();
 
-  const int workers = plan.parallel_workers > 0 ? plan.parallel_workers : 1;
-
   // Parameter relations whose rows this call erased, with copies of the
   // originals — the rollback state (the view and the seeds mutate only at
   // commit, by erasures that cannot fail).
@@ -470,7 +467,7 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
         // this is the view's own closure seeded with the suspects).
         Result<std::vector<Relation>> closed_suspects = JointSemiNaiveClosure(
             rules.members, rules.rules, db_, suspects0, &out.stats, &cache_,
-            workers, cancel);
+            cancel);
         if (!closed_suspects.ok()) return closed_suspects.status();
         const std::vector<Relation> suspects =
             std::move(closed_suspects).value();
@@ -573,7 +570,7 @@ Result<RetractOutcome> Engine::Retract(MaterializedView& view,
         LINREC_RETURN_IF_ERROR(JointSemiNaiveExtend(
             rules.members, from_survivors ? *delta_rules : guarded, db_,
             &rederived, std::vector<RowId>(members, 0), &out.stats, &cache_,
-            workers, cancel));
+            cancel));
 
         // 5. Outcome, then the commit: in-place erasures that keep every
         // surviving row where it was and cannot fail.

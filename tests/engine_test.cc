@@ -232,29 +232,23 @@ TEST(EnginePlanTest, ExplainNamesStrategyAndTheorem) {
 }
 
 TEST(EnginePlanTest, ExplainReportsParallelMode) {
+  // Rounds are serial whatever the lane count; only batches use lanes.
   LinearRule tc = LR("p(X,Y) :- p(X,Z), e(Z,Y).");
   Relation q(2);
   q.Insert({0, 0});
-
-  EngineOptions serial_options;
-  serial_options.parallel_workers = 1;
-  Engine serial_engine(Database{}, serial_options);
-  auto serial_plan = serial_engine.Plan(Query::Closure({tc}).From(q));
-  ASSERT_TRUE(serial_plan.ok());
-  EXPECT_EQ(serial_plan->parallel_workers, 1);
-  EXPECT_NE(serial_plan->Explain().find("parallel: serial"),
-            std::string::npos)
-      << serial_plan->Explain();
-
-  EngineOptions parallel_options;
-  parallel_options.parallel_workers = 8;
-  Engine parallel_engine(Database{}, parallel_options);
-  auto parallel_plan = parallel_engine.Plan(Query::Closure({tc}).From(q));
-  ASSERT_TRUE(parallel_plan.ok());
-  EXPECT_EQ(parallel_plan->parallel_workers, 8);
-  std::string text = parallel_plan->Explain();
-  EXPECT_NE(text.find("8 workers"), std::string::npos) << text;
-  EXPECT_NE(text.find("Δ partitions"), std::string::npos) << text;
+  for (int workers : {1, 8}) {
+    EngineOptions options;
+    options.parallel_workers = workers;
+    Engine engine(Database{}, options);
+    auto plan = engine.Plan(Query::Closure({tc}).From(q));
+    ASSERT_TRUE(plan.ok());
+    const std::string text = plan->Explain();
+    EXPECT_NE(text.find("parallel: rounds run serially"), std::string::npos)
+        << text;
+    EXPECT_NE(text.find("a batch runs its queries concurrently"),
+              std::string::npos)
+        << text;
+  }
 }
 
 TEST(EngineOptionsTest, ZeroWorkersMeansHardwareConcurrencyNotSerial) {
@@ -267,13 +261,6 @@ TEST(EngineOptionsTest, ZeroWorkersMeansHardwareConcurrencyNotSerial) {
 
   EngineOptions defaults;
   EXPECT_EQ(defaults.parallel_workers, 0);  // auto, not serial
-  Engine engine;
-  LinearRule tc = LR("p(X,Y) :- p(X,Z), e(Z,Y).");
-  Relation q(2);
-  q.Insert({0, 0});
-  auto plan = engine.Plan(Query::Closure({tc}).From(q));
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->parallel_workers, ResolveWorkers(0));
 }
 
 TEST(EngineForceTest, ForcedNaiveMatchesSemiNaive) {

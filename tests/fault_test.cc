@@ -7,13 +7,14 @@
 #include "common/fault.h"
 
 #include <algorithm>
-#include <thread>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/memory.h"
+#include "common/parallel.h"
 #include "datalog/parser.h"
 #include "engine/engine.h"
 #include "workload/graphs.h"
@@ -126,35 +127,49 @@ TEST(FaultInjectionTest, RehashFaultSurfacesAsResourceExhausted) {
       << result.status();
 }
 
-TEST(FaultInjectionTest, WorkerDispatchFaultSurfacesAsTypedInternal) {
-  // Real worker threads: the chunk lambda observes the armed fault and
-  // fails its lane with a typed status that wins the round's merge. The
-  // identity seed keeps every round's Δ above kSerialRowThreshold, so the
-  // chunked (pool) path actually runs — unless the host has a single
-  // hardware thread, in which case the pool (correctly) never fans out and
-  // the site is unreachable.
-  if (std::thread::hardware_concurrency() < 2) {
-    GTEST_SKIP() << "worker-dispatch site needs a multi-core host";
-  }
-  Engine engine = ChainEngine(512, /*workers=*/4);
+TEST(FaultInjectionTest, WorkerDispatchFaultFailsOnlyItsBatchSlot) {
+  // The site sits where a batch lane picks up one query's slot
+  // (Engine::ExecuteBatchEach). The armed fault fails exactly that slot
+  // with a typed Internal; its neighbours finish with the right closure,
+  // and the engine keeps serving. Real helper threads even on a 1-core
+  // host, so the slots really run on several lanes.
+  WorkerPool::OverrideThreadCapForTesting(16);
+  Engine engine = ChainEngine(64, /*workers=*/4);
   LinearRule tc = LR("p(X,Y) :- p(X,Z), e(Z,Y).");
   auto prepared = engine.Prepare(Query::Closure({tc}));
   ASSERT_TRUE(prepared.ok()) << prepared.status();
+  auto seed = std::make_shared<const Relation>(SeedZero());
+  std::vector<BoundQuery> batch;
+  for (int i = 0; i < 4; ++i) batch.push_back(prepared->Bind().BindSeed(seed));
 
-  Relation seed(2);
-  for (Value i = 0; i < 512; ++i) seed.Insert({i, i});
+  Engine fresh = ChainEngine(64);
+  auto clean = fresh.Execute(
+      fresh.Prepare(Query::Closure({tc}))->Bind().BindSeed(*seed));
+  ASSERT_TRUE(clean.ok()) << clean.status();
   {
     ScopedFault fault(FaultSite::kWorkerDispatch, 1);
-    auto result = engine.Execute(prepared->Bind().BindSeed(seed));
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kInternal)
-        << result.status();
-    EXPECT_NE(result.status().message().find("injected worker fault"),
-              std::string::npos)
-        << result.status();
+    std::vector<Result<QueryResult>> slots = engine.ExecuteBatchEach(batch);
+    ASSERT_EQ(slots.size(), batch.size());
+    std::size_t failed = 0;
+    for (const Result<QueryResult>& slot : slots) {
+      if (slot.ok()) {
+        EXPECT_EQ(slot->relation(), clean->relation());
+        continue;
+      }
+      ++failed;
+      EXPECT_EQ(slot.status().code(), StatusCode::kInternal) << slot.status();
+      EXPECT_NE(slot.status().message().find("injected worker fault"),
+                std::string::npos)
+          << slot.status();
+    }
+    EXPECT_EQ(failed, 1u);
   }
-  auto after = engine.Execute(prepared->Bind().BindSeed(seed));
-  ASSERT_TRUE(after.ok()) << after.status();
+  std::vector<Result<QueryResult>> after = engine.ExecuteBatchEach(batch);
+  for (const Result<QueryResult>& slot : after) {
+    ASSERT_TRUE(slot.ok()) << slot.status();
+    EXPECT_EQ(slot->relation(), clean->relation());
+  }
+  WorkerPool::OverrideThreadCapForTesting(0);
 }
 
 TEST(FaultInjectionTest, FixedScheduleAbortsAtTheSameHitEveryRun) {

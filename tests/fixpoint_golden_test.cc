@@ -1,13 +1,11 @@
 // Golden parity for the closure entry points. On fixed inputs built from a
 // self-contained generator (no <random> distributions, whose output differs
 // between standard libraries), every entry point's result is pinned:
-//   - at workers=1, an order-SENSITIVE digest of the rows in insertion
-//     order plus the Theorem 3.1 counters (iterations, derivations, index
-//     probes, rows scanned) — the serial rounds are deterministic, so any
-//     change to rule order, Δ ranges or round structure shows up here;
-//   - at workers 2 and 8 with real threads forced, an order-independent
-//     digest (the merge order of parallel lanes is scheduling-dependent,
-//     the relation is not).
+//   - an order-SENSITIVE digest of the rows in insertion order plus the
+//     Theorem 3.1 counters (iterations, derivations, index probes, rows
+//     scanned) — the serial rounds are deterministic, so any change to
+//     rule order, Δ ranges or round structure shows up here;
+//   - an order-independent digest of the relation itself.
 // A refactor of the round machinery must leave every value unchanged.
 
 #include <gtest/gtest.h>
@@ -18,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "datalog/parser.h"
 #include "eval/fixpoint.h"
 #include "eval/joint.h"
@@ -147,8 +144,8 @@ const Inputs& GetInputs() {
   return *inputs;
 }
 
-using Run = std::function<Result<std::vector<Relation>>(
-    const Inputs&, int workers, ClosureStats*)>;
+using Run = std::function<Result<std::vector<Relation>>(const Inputs&,
+                                                         ClosureStats*)>;
 
 std::vector<Relation> One(Relation r) {
   std::vector<Relation> out;
@@ -169,46 +166,43 @@ struct Case {
 std::vector<Case> Cases() {
   return {
       {"SemiNaiveClosure",
-       [](const Inputs& in, int w, ClosureStats* s) {
-         return Lift(SemiNaiveClosure(in.rules, in.db, in.q, s, nullptr, w));
+       [](const Inputs& in, ClosureStats* s) {
+         return Lift(SemiNaiveClosure(in.rules, in.db, in.q, s));
        }},
       {"NaiveClosure",
-       [](const Inputs& in, int w, ClosureStats* s) {
-         return Lift(NaiveClosure(in.rules, in.db, in.q, s, nullptr, w));
+       [](const Inputs& in, ClosureStats* s) {
+         return Lift(NaiveClosure(in.rules, in.db, in.q, s));
        }},
       {"PowerSum",
-       [](const Inputs& in, int w, ClosureStats* s) {
-         return Lift(PowerSum(in.rules, in.db, in.q, 5, s, nullptr, w));
+       [](const Inputs& in, ClosureStats* s) {
+         return Lift(PowerSum(in.rules, in.db, in.q, 5, s));
        }},
       {"SemiNaiveResume",
-       [](const Inputs& in, int w, ClosureStats* s) {
-         return Lift(SemiNaiveResume(in.rules, in.db, in.closed, in.extra, s,
-                                     nullptr, w));
+       [](const Inputs& in, ClosureStats* s) {
+         return Lift(
+             SemiNaiveResume(in.rules, in.db, in.closed, in.extra, s));
        }},
       {"SemiNaiveExtend",
-       [](const Inputs& in, int w,
-          ClosureStats* s) -> Result<std::vector<Relation>> {
+       [](const Inputs& in, ClosureStats* s) -> Result<std::vector<Relation>> {
          Relation result = in.closed;
          const RowId begin = static_cast<RowId>(result.size());
          for (TupleView t : in.extra) result.Insert(t);
-         Status st =
-             SemiNaiveExtend(in.rules, in.db, &result, begin, s, nullptr, w);
+         Status st = SemiNaiveExtend(in.rules, in.db, &result, begin, s);
          if (!st.ok()) return st;
          return One(std::move(result));
        }},
       {"JointSemiNaiveClosure",
-       [](const Inputs& in, int w, ClosureStats* s) {
+       [](const Inputs& in, ClosureStats* s) {
          return JointSemiNaiveClosure(in.members, in.joint_rules, in.db,
-                                      in.joint_seeds, s, nullptr, w);
+                                      in.joint_seeds, s);
        }},
       {"JointNaiveClosure",
-       [](const Inputs& in, int w, ClosureStats* s) {
+       [](const Inputs& in, ClosureStats* s) {
          return JointNaiveClosure(in.members, in.joint_rules, in.db,
-                                  in.joint_seeds, s, nullptr, w);
+                                  in.joint_seeds, s);
        }},
       {"JointSemiNaiveExtend",
-       [](const Inputs& in, int w,
-          ClosureStats* s) -> Result<std::vector<Relation>> {
+       [](const Inputs& in, ClosureStats* s) -> Result<std::vector<Relation>> {
          std::vector<Relation> rels = in.joint_closed;
          std::vector<RowId> begin;
          for (const Relation& r : rels) {
@@ -216,7 +210,7 @@ std::vector<Case> Cases() {
          }
          for (TupleView t : in.joint_seeds[1]) rels[1].Insert(t);
          Status st = JointSemiNaiveExtend(in.members, in.joint_rules, in.db,
-                                          &rels, begin, s, nullptr, w);
+                                          &rels, begin, s);
          if (!st.ok()) return st;
          return rels;
        }},
@@ -253,12 +247,11 @@ constexpr Golden kGolden[] = {
      9807, 4785, 14592},
 };
 
-void ExpectCounters(const Golden& g, const ClosureStats& stats, int workers) {
-  EXPECT_EQ(stats.iterations, g.iterations) << g.name << " w" << workers;
-  EXPECT_EQ(stats.derivations, g.derivations) << g.name << " w" << workers;
-  EXPECT_EQ(stats.probes_issued, g.probes_issued)
-      << g.name << " w" << workers;
-  EXPECT_EQ(stats.rows_scanned, g.rows_scanned) << g.name << " w" << workers;
+void ExpectCounters(const Golden& g, const ClosureStats& stats) {
+  EXPECT_EQ(stats.iterations, g.iterations) << g.name;
+  EXPECT_EQ(stats.derivations, g.derivations) << g.name;
+  EXPECT_EQ(stats.probes_issued, g.probes_issued) << g.name;
+  EXPECT_EQ(stats.rows_scanned, g.rows_scanned) << g.name;
 }
 
 TEST(FixpointGoldenTest, SerialRowsInOrderAndCounters) {
@@ -269,30 +262,12 @@ TEST(FixpointGoldenTest, SerialRowsInOrderAndCounters) {
     const Golden& g = kGolden[i];
     ASSERT_EQ(std::string(cases[i].name), g.name);
     ClosureStats stats;
-    Result<std::vector<Relation>> out = cases[i].run(in, 1, &stats);
+    Result<std::vector<Relation>> out = cases[i].run(in, &stats);
     ASSERT_TRUE(out.ok()) << g.name << ": " << out.status();
     EXPECT_EQ(OrderedDigest(*out), g.ordered) << g.name;
     EXPECT_EQ(UnorderedDigest(*out), g.unordered) << g.name;
-    ExpectCounters(g, stats, 1);
+    ExpectCounters(g, stats);
   }
-}
-
-TEST(FixpointGoldenTest, ParallelRowSetsAndCounters) {
-  WorkerPool::OverrideThreadCapForTesting(16);
-  const Inputs& in = GetInputs();
-  const std::vector<Case> cases = Cases();
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const Golden& g = kGolden[i];
-    for (int workers : {2, 8}) {
-      ClosureStats stats;
-      Result<std::vector<Relation>> out = cases[i].run(in, workers, &stats);
-      ASSERT_TRUE(out.ok()) << g.name << ": " << out.status();
-      EXPECT_EQ(UnorderedDigest(*out), g.unordered)
-          << g.name << " w" << workers;
-      ExpectCounters(g, stats, workers);
-    }
-  }
-  WorkerPool::OverrideThreadCapForTesting(0);
 }
 
 TEST(FixpointGoldenTest, EmptySeedRounds) {

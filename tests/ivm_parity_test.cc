@@ -3,9 +3,7 @@
 // from-scratch evaluation over the updated inputs would; Retract undoes
 // it (DRed); Apply-then-Retract of the same delta round-trips to the
 // exact pre-update bytes; a fault injected mid-Apply rolls back to the
-// exact pre-call bytes. All of it across strategies and worker counts,
-// with real threads forced so single-core CI still runs the parallel
-// rounds.
+// exact pre-call bytes. All of it across strategies.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +12,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "common/parallel.h"
 #include "datalog/parser.h"
 #include "engine/engine.h"
 #include "ivm/view.h"
@@ -29,9 +26,6 @@ LinearRule LR(const std::string& text) {
   EXPECT_TRUE(r.ok()) << r.status();
   return *r;
 }
-
-void ForceRealThreads() { WorkerPool::OverrideThreadCapForTesting(16); }
-void RestoreThreadCap() { WorkerPool::OverrideThreadCapForTesting(0); }
 
 /// Rows in INSERTION order — the byte-level observable of a relation
 /// (Sorted() would hide reordering).
@@ -91,17 +85,15 @@ Relation Recompute(const std::vector<LinearRule>& rules, const Relation& e,
 /// Materializes tc over the base edges, Applies each update batch, and
 /// checks the maintained view equals the from-scratch closure after
 /// every batch.
-void RunApplyParity(int workers, std::vector<LinearRule> rules) {
+void RunApplyParity(std::vector<LinearRule> rules) {
   const int nodes = 40;
   EdgeStream s = SplitEdges(RandomGraph(nodes, 140, /*seed=*/11),
                             /*batches=*/4, /*batch_size=*/10);
   const Relation q = IdentitySeed(nodes);
 
-  EngineOptions options;
-  options.parallel_workers = workers;
   Database db;
   db.GetOrCreate("e", 2) = s.base;
-  Engine engine(std::move(db), options);
+  Engine engine(std::move(db));
   auto prepared = engine.Prepare(Query::Closure(rules));
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   auto view = engine.Materialize(prepared->Bind().BindSeed(q), {"tc"});
@@ -117,23 +109,15 @@ void RunApplyParity(int workers, std::vector<LinearRule> rules) {
 
     const Relation* maintained = engine.db().Find("tc");
     ASSERT_NE(maintained, nullptr);
-    EXPECT_EQ(*maintained, Recompute(rules, all_edges, q))
-        << "workers=" << workers;
+    EXPECT_EQ(*maintained, Recompute(rules, all_edges, q));
     // The database copy of the input tracked the stream.
     EXPECT_EQ(*engine.db().Find("e"), all_edges);
   }
   EXPECT_EQ(view->applies(), s.batches.size());
 }
 
-TEST(IvmApply, MatchesRecomputeSerial) {
-  RunApplyParity(1, {LR("p(X,Y) :- p(X,Z), e(Z,Y).")});
-}
-
-TEST(IvmApply, MatchesRecomputeParallel) {
-  ForceRealThreads();
-  RunApplyParity(2, {LR("p(X,Y) :- p(X,Z), e(Z,Y).")});
-  RunApplyParity(8, {LR("p(X,Y) :- p(X,Z), e(Z,Y).")});
-  RestoreThreadCap();
+TEST(IvmApply, MatchesRecompute) {
+  RunApplyParity({LR("p(X,Y) :- p(X,Z), e(Z,Y).")});
 }
 
 TEST(IvmApply, MatchesRecomputeTwoRules) {
@@ -141,10 +125,7 @@ TEST(IvmApply, MatchesRecomputeTwoRules) {
   // one parameter delta seeds delta runs of both.
   std::vector<LinearRule> rules = {LR("p(X,Y) :- p(X,Z), e(Z,Y)."),
                                    LR("p(X,Y) :- e(X,Z), p(Z,Y).")};
-  RunApplyParity(1, rules);
-  ForceRealThreads();
-  RunApplyParity(2, rules);
-  RestoreThreadCap();
+  RunApplyParity(rules);
 }
 
 TEST(IvmApply, SeedInsertsExtendTheClosure) {
@@ -201,17 +182,15 @@ TEST(IvmApply, IdempotentOnDuplicateDelta) {
 
 /// Retract parity: delete a batch of edges from a maintained view and
 /// compare against the from-scratch closure over the remaining edges.
-void RunRetractParity(int workers) {
+void RunRetractParity() {
   const std::vector<LinearRule> rules = {LR("p(X,Y) :- p(X,Z), e(Z,Y).")};
   const int nodes = 36;
   const Relation edges = RandomGraph(nodes, 120, /*seed=*/23);
   const Relation q = IdentitySeed(nodes);
 
-  EngineOptions options;
-  options.parallel_workers = workers;
   Database db;
   db.GetOrCreate("e", 2) = edges;
-  Engine engine(std::move(db), options);
+  Engine engine(std::move(db));
   auto prepared = engine.Prepare(Query::Closure(rules));
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   auto view = engine.Materialize(prepared->Bind().BindSeed(q), {"tc"});
@@ -233,20 +212,12 @@ void RunRetractParity(int workers) {
   auto outcome = engine.Retract(*view, delta);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
 
-  EXPECT_EQ(*engine.db().Find("tc"), Recompute(rules, remaining, q))
-      << "workers=" << workers;
+  EXPECT_EQ(*engine.db().Find("tc"), Recompute(rules, remaining, q));
   EXPECT_EQ(*engine.db().Find("e"), remaining);
   EXPECT_EQ(view->retracts(), 1u);
 }
 
-TEST(IvmRetract, MatchesRecomputeSerial) { RunRetractParity(1); }
-
-TEST(IvmRetract, MatchesRecomputeParallel) {
-  ForceRealThreads();
-  RunRetractParity(2);
-  RunRetractParity(8);
-  RestoreThreadCap();
-}
+TEST(IvmRetract, MatchesRecompute) { RunRetractParity(); }
 
 /// Retract commits in place: the survivors keep their rows, in order, and
 /// re-derived tuples are never moved — the view after the call is the
@@ -254,7 +225,7 @@ TEST(IvmRetract, MatchesRecomputeParallel) {
 /// random graph; with `bystander` a 200-edge chain beside it holds most of
 /// the view, so the suspects are a small cone (re-derived by the guarded
 /// joins) instead of most of the view (re-derived from the survivors).
-void RunRetractKeepsOrder(int workers, bool bystander) {
+void RunRetractKeepsOrder(bool bystander) {
   const std::vector<LinearRule> rules = {LR("p(X,Y) :- p(X,Z), e(Z,Y).")};
   const int nodes = 36;
   Relation edges = RandomGraph(nodes, 120, /*seed=*/23);
@@ -264,11 +235,9 @@ void RunRetractKeepsOrder(int workers, bool bystander) {
     for (Value v = 1000; v <= 1200; ++v) q.Insert({v, v});
   }
 
-  EngineOptions options;
-  options.parallel_workers = workers;
   Database db;
   db.GetOrCreate("e", 2) = edges;
-  Engine engine(std::move(db), options);
+  Engine engine(std::move(db));
   auto prepared = engine.Prepare(Query::Closure(rules));
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   auto view = engine.Materialize(prepared->Bind().BindSeed(q), {"tc"});
@@ -293,18 +262,14 @@ void RunRetractKeepsOrder(int workers, bool bystander) {
     if (!outcome->removed[0].Contains(t)) expected.push_back(t);
   }
   EXPECT_EQ(Rows(*engine.db().Find("tc")), expected)
-      << "workers=" << workers << " bystander=" << bystander;
+      << "bystander=" << bystander;
   EXPECT_EQ(*engine.db().Find("tc"), Recompute(rules, remaining, q))
-      << "workers=" << workers << " bystander=" << bystander;
+      << "bystander=" << bystander;
 }
 
 TEST(IvmRetract, RetractKeepsSurvivorOrder) {
   for (bool bystander : {false, true}) {
-    RunRetractKeepsOrder(1, bystander);
-    ForceRealThreads();
-    RunRetractKeepsOrder(2, bystander);
-    RunRetractKeepsOrder(8, bystander);
-    RestoreThreadCap();
+    RunRetractKeepsOrder(bystander);
   }
 }
 
@@ -353,18 +318,16 @@ TEST(IvmRetract, RetractWorkScalesWithSuspects) {
 /// order, same seed — across worker counts. The inserted edges are fresh
 /// (absent before), so DRed removes precisely what Apply added and the
 /// survivor prefix is the untouched original closure.
-void RunRoundTrip(int workers) {
+void RunRoundTrip() {
   const std::vector<LinearRule> rules = {LR("p(X,Y) :- p(X,Z), e(Z,Y).")};
   const int nodes = 30;
   EdgeStream s = SplitEdges(RandomGraph(nodes, 100, /*seed=*/5),
                             /*batches=*/1, /*batch_size=*/12);
   const Relation q = IdentitySeed(nodes);
 
-  EngineOptions options;
-  options.parallel_workers = workers;
   Database db;
   db.GetOrCreate("e", 2) = s.base;
-  Engine engine(std::move(db), options);
+  Engine engine(std::move(db));
   auto prepared = engine.Prepare(Query::Closure(rules));
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   auto view = engine.Materialize(prepared->Bind().BindSeed(q), {"tc"});
@@ -385,8 +348,7 @@ void RunRoundTrip(int workers) {
   ASSERT_TRUE(retracted.ok()) << retracted.status();
 
   // Byte-identical round trip: contents AND insertion order.
-  EXPECT_EQ(Rows(*engine.db().Find("tc")), closed_before)
-      << "workers=" << workers;
+  EXPECT_EQ(Rows(*engine.db().Find("tc")), closed_before);
   EXPECT_EQ(Rows(*engine.db().Find("e")), edges_before);
   EXPECT_EQ(Rows(view->seed()), seed_before);
   // And what Retract removed is exactly what Apply added.
@@ -394,11 +356,7 @@ void RunRoundTrip(int workers) {
 }
 
 TEST(IvmRoundTrip, ApplyThenRetractRestoresExactBytes) {
-  RunRoundTrip(1);
-  ForceRealThreads();
-  RunRoundTrip(2);
-  RunRoundTrip(8);
-  RestoreThreadCap();
+  RunRoundTrip();
 }
 
 TEST(IvmJoint, ApplyAndRetractMatchRecompute) {
@@ -486,7 +444,7 @@ TEST(IvmJoint, ApplyAndRetractMatchRecompute) {
 /// guarded joins on both members; the view must match a from-scratch joint
 /// closure and keep its surviving rows in place, serially and on real
 /// worker threads.
-void RunJointConeRetract(int workers) {
+void RunJointConeRetract() {
   auto w = MakeAlternatingReachability(40, 120, /*seed=*/9);
   ASSERT_TRUE(w.ok()) << w.status();
   auto bystander = MakeAlternatingReachability(70, 240, /*seed=*/4);
@@ -505,12 +463,10 @@ void RunJointConeRetract(int workers) {
     (t[0] < 1000 && i++ % 9 == 0 ? cut : red_left).Insert(t);
   }
 
-  EngineOptions options;
-  options.parallel_workers = workers;
   Database db;
   db.GetOrCreate("red", 2) = red;
   db.GetOrCreate("blue", 2) = blue;
-  Engine engine(std::move(db), options);
+  Engine engine(std::move(db));
   auto prepared = engine.Prepare(Query::JointClosure(w->members, w->rules));
   ASSERT_TRUE(prepared.ok()) << prepared.status();
   auto view = engine.Materialize(prepared->Bind().BindSeeds({red, blue}),
@@ -539,10 +495,8 @@ void RunJointConeRetract(int workers) {
   auto oracle_out =
       oracle.Execute(oracle_prepared->Bind().BindSeeds({red_left, blue}));
   ASSERT_TRUE(oracle_out.ok()) << oracle_out.status();
-  EXPECT_EQ(*engine.db().Find("reach_red"), oracle_out->relations[0])
-      << "workers=" << workers;
-  EXPECT_EQ(*engine.db().Find("reach_blue"), oracle_out->relations[1])
-      << "workers=" << workers;
+  EXPECT_EQ(*engine.db().Find("reach_red"), oracle_out->relations[0]);
+  EXPECT_EQ(*engine.db().Find("reach_blue"), oracle_out->relations[1]);
 
   const std::vector<Tuple>* before[] = {&red_before, &blue_before};
   const char* names[] = {"reach_red", "reach_blue"};
@@ -552,17 +506,13 @@ void RunJointConeRetract(int workers) {
       if (!retracted->removed[m].Contains(t)) expected.push_back(t);
     }
     EXPECT_EQ(Rows(*engine.db().Find(names[m])), expected)
-        << "workers=" << workers << " member=" << m;
+        << "member=" << m;
   }
   EXPECT_EQ(view->seed(0), red_left);
 }
 
 TEST(IvmJoint, ConeRetractMatchesRecomputeAndKeepsOrder) {
-  RunJointConeRetract(1);
-  ForceRealThreads();
-  RunJointConeRetract(2);
-  RunJointConeRetract(8);
-  RestoreThreadCap();
+  RunJointConeRetract();
 }
 
 TEST(IvmFault, MidApplyAbortRollsBackToExactBytes) {

@@ -1,7 +1,6 @@
 // Joint multi-relation fixpoint: correctness against hand-computed
-// closures and the naive reference, determinism across worker counts
-// (with real threads forced, so single-core CI still exercises the
-// parallel round), and validation of malformed joint rules.
+// closures and the naive reference, and validation of malformed joint
+// rules.
 
 #include "eval/joint.h"
 
@@ -10,15 +9,11 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "datalog/parser.h"
 #include "workload/rulegen.h"
 
 namespace linrec {
 namespace {
-
-void ForceRealThreads() { WorkerPool::OverrideThreadCapForTesting(16); }
-void RestoreThreadCap() { WorkerPool::OverrideThreadCapForTesting(0); }
 
 TEST(JointFixpointTest, EvenOddChainClosure) {
   auto w = MakeEvenOddChain(10);
@@ -59,44 +54,26 @@ TEST(JointFixpointTest, SemiNaiveMatchesNaiveReference) {
   }
 }
 
-TEST(JointFixpointTest, DeterministicAcrossWorkerCounts) {
-  // Sized so rounds cross the serial-fallback threshold: the closure over
-  // a dense 2-colored graph reaches thousands of Δ rows per round.
-  ForceRealThreads();
-  auto w = MakeAlternatingReachability(120, 480, /*seed=*/21);
-  ASSERT_TRUE(w.ok()) << w.status();
-  auto reference = JointSemiNaiveClosure(w->members, w->rules, w->db, w->seeds,
-                                         /*stats=*/nullptr,
-                                         /*cache=*/nullptr, /*workers=*/1);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  ASSERT_GT((*reference)[0].size() + (*reference)[1].size(), 1000u);
-  for (int workers : {2, 8}) {
-    auto out = JointSemiNaiveClosure(w->members, w->rules, w->db, w->seeds,
-                                     /*stats=*/nullptr, /*cache=*/nullptr,
-                                     workers);
-    ASSERT_TRUE(out.ok()) << out.status();
-    for (std::size_t m = 0; m < reference->size(); ++m) {
-      EXPECT_EQ((*out)[m].Sorted(), (*reference)[m].Sorted())
-          << "member " << m << " differs at " << workers << " workers";
+TEST(JointFixpointTest, DenseClosuresMatchNaiveReference) {
+  auto dense = MakeAlternatingReachability(120, 480, /*seed=*/21);
+  ASSERT_TRUE(dense.ok()) << dense.status();
+  auto medium = MakeAlternatingReachability(60, 200, /*seed=*/3);
+  ASSERT_TRUE(medium.ok()) << medium.status();
+  for (const JointWorkload* w : {&*dense, &*medium}) {
+    auto naive = JointNaiveClosure(w->members, w->rules, w->db, w->seeds);
+    ASSERT_TRUE(naive.ok()) << naive.status();
+    auto semi = JointSemiNaiveClosure(w->members, w->rules, w->db, w->seeds);
+    ASSERT_TRUE(semi.ok()) << semi.status();
+    std::size_t rows = 0;
+    for (std::size_t m = 0; m < naive->size(); ++m) {
+      EXPECT_EQ((*semi)[m], (*naive)[m]) << "member " << m;
+      rows += (*semi)[m].size();
+    }
+    // The dense 2-colored graph reaches thousands of Δ rows per round.
+    if (w == &*dense) {
+      EXPECT_GT(rows, 1000u);
     }
   }
-  RestoreThreadCap();
-}
-
-TEST(JointFixpointTest, ParallelMatchesNaiveReference) {
-  ForceRealThreads();
-  auto w = MakeAlternatingReachability(60, 200, /*seed=*/3);
-  ASSERT_TRUE(w.ok());
-  auto naive = JointNaiveClosure(w->members, w->rules, w->db, w->seeds);
-  ASSERT_TRUE(naive.ok());
-  auto parallel = JointSemiNaiveClosure(w->members, w->rules, w->db, w->seeds,
-                                        /*stats=*/nullptr,
-                                        /*cache=*/nullptr, /*workers=*/4);
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-  for (std::size_t m = 0; m < naive->size(); ++m) {
-    EXPECT_EQ((*parallel)[m], (*naive)[m]) << "member " << m;
-  }
-  RestoreThreadCap();
 }
 
 TEST(JointFixpointTest, MemberWithNoConsumingRuleTerminates) {

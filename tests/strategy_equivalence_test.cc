@@ -1,14 +1,13 @@
 // Execution equivalence across strategies: every evaluation route — naive,
-// semi-naive, the sequential and the parallel decomposed product, and the
-// engine's automatic choice — must produce the identical closure on the
-// workload suite. This is the paper's core claim (the theorems rewrite the
-// *computation*, never the *result*) and the regression net for the flat
-// storage layer and the parallel merge.
+// semi-naive, the decomposed product, the power sum, the resumed closure
+// and the engine's automatic choice — must produce the identical closure on
+// the workload suite. This is the paper's core claim (the theorems rewrite
+// the *computation*, never the *result*) and the regression net for the
+// flat storage layer and the round executor.
 
 #include <gtest/gtest.h>
 
 #include "algebra/closure.h"
-#include "common/parallel.h"
 #include "datalog/parser.h"
 #include "engine/engine.h"
 #include "eval/fixpoint.h"
@@ -23,12 +22,6 @@ LinearRule LR(const std::string& text) {
   EXPECT_TRUE(r.ok()) << r.status();
   return *r;
 }
-
-/// The determinism suite must exercise true cross-thread execution even on
-/// single-core CI hosts, where the pool would otherwise (correctly) decline
-/// to spawn helper threads.
-void ForceRealThreads() { WorkerPool::OverrideThreadCapForTesting(16); }
-void RestoreThreadCap() { WorkerPool::OverrideThreadCapForTesting(0); }
 
 /// Asserts naive == semi-naive == engine-auto on (rules, db, q) and returns
 /// the agreed closure (as sorted tuples, so failures print deterministic
@@ -78,7 +71,7 @@ TEST(StrategyEquivalence, TransitiveClosureRandom) {
                            q);
 }
 
-TEST(StrategyEquivalence, SameGenerationDecomposedSequentialAndParallel) {
+TEST(StrategyEquivalence, SameGenerationDecomposedMatchesDirect) {
   SameGenerationWorkload w =
       MakeSameGeneration(/*layers=*/4, /*width=*/10, /*fanout=*/2,
                          /*seed=*/42);
@@ -89,23 +82,16 @@ TEST(StrategyEquivalence, SameGenerationDecomposedSequentialAndParallel) {
 
   // The two rules commute, so each may form its own group (Theorem 3.1).
   std::vector<std::vector<LinearRule>> groups = {{rules[0]}, {rules[1]}};
-  auto sequential =
-      DecomposedClosure(groups, w.db, w.q, nullptr, nullptr, /*workers=*/1);
-  ASSERT_TRUE(sequential.ok()) << sequential.status();
-  EXPECT_EQ(*direct, *sequential);
-
-  // Force the thread-pool path even on single-core machines.
-  auto parallel =
-      DecomposedClosure(groups, w.db, w.q, nullptr, nullptr, /*workers=*/4);
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-  EXPECT_EQ(*direct, *parallel);
+  auto decomposed = DecomposedClosure(groups, w.db, w.q);
+  ASSERT_TRUE(decomposed.ok()) << decomposed.status();
+  EXPECT_EQ(*direct, *decomposed);
 }
 
-TEST(StrategyEquivalence, ParallelDecomposedThreeGroups) {
+TEST(StrategyEquivalence, DecomposedThreeGroups) {
   // Three mutually commuting chase operators over disjoint columns-by-value
   // ranges: each rule advances along its own edge relation. All groups
-  // commute pairwise, so any product order — and the parallel merge — must
-  // equal the direct closure.
+  // commute pairwise, so the product of their closures must equal the
+  // direct closure.
   Database db;
   db.GetOrCreate("e1", 2) = ChainGraph(8);
   Relation shifted(2);
@@ -128,107 +114,89 @@ TEST(StrategyEquivalence, ParallelDecomposedThreeGroups) {
 
   std::vector<std::vector<LinearRule>> groups = {{rules[0]}, {rules[1]},
                                                  {rules[2]}};
-  for (int workers : {1, 2, 4}) {
-    auto out = DecomposedClosure(groups, db, q, nullptr, nullptr, workers);
-    ASSERT_TRUE(out.ok()) << out.status();
-    EXPECT_EQ(*direct, *out) << "workers=" << workers;
-  }
+  auto out = DecomposedClosure(groups, db, q);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(*direct, *out);
 }
 
-// --- Parallel semi-naive determinism suite --------------------------------
+// --- Semi-naive determinism suite -----------------------------------------
 //
-// The intra-round parallel path (work-stealing Δ chunks, thread-local
-// output pools, sharded merge) must produce the IDENTICAL closure for every
-// worker count and on every repetition — chunk-to-thread assignment is
-// scheduler-dependent, so these tests fail if any result depends on it.
+// The serial rounds are deterministic: repeated runs produce the identical
+// closure, in the identical row order, with identical counters, and each
+// route agrees with an independent one.
 
-TEST(ParallelSemiNaive, DeterministicAcrossWorkerCountsAndRuns_TcRandom) {
-  ForceRealThreads();
+TEST(SemiNaiveDeterminism, RepeatRunsAgreeWithNaive_TcRandom) {
   Database db;
   db.GetOrCreate("e", 2) = RandomGraph(200, 600, /*seed=*/7);
   std::vector<LinearRule> rules = {LR("p(X,Y) :- p(X,Z), e(Z,Y).")};
   Relation q(2);
   for (int i = 0; i < 200; i += 4) q.Insert({i, i});
 
+  auto naive = NaiveClosure(rules, db, q);
+  ASSERT_TRUE(naive.ok()) << naive.status();
   ClosureStats reference_stats;
-  auto reference =
-      SemiNaiveClosure(rules, db, q, &reference_stats, nullptr, 1);
+  auto reference = SemiNaiveClosure(rules, db, q, &reference_stats);
   ASSERT_TRUE(reference.ok()) << reference.status();
-  for (int workers : {1, 2, 8}) {
-    for (int run = 0; run < 5; ++run) {
-      ClosureStats stats;
-      auto out = SemiNaiveClosure(rules, db, q, &stats, nullptr, workers);
-      ASSERT_TRUE(out.ok()) << out.status();
-      EXPECT_EQ(*reference, *out) << "workers=" << workers << " run=" << run;
-      // Derivation and round counts are chunking-independent: each Δ row
-      // produces the same matches whichever worker scans it, and every
-      // round's Δ is the same set.
-      EXPECT_EQ(stats.derivations, reference_stats.derivations)
-          << "workers=" << workers << " run=" << run;
-      EXPECT_EQ(stats.iterations, reference_stats.iterations);
-      EXPECT_EQ(out->Sorted(), reference->Sorted());
+  EXPECT_EQ(*naive, *reference);
+  for (int run = 0; run < 3; ++run) {
+    ClosureStats stats;
+    auto out = SemiNaiveClosure(rules, db, q, &stats);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(*reference, *out) << "run=" << run;
+    EXPECT_EQ(stats.derivations, reference_stats.derivations) << "run=" << run;
+    EXPECT_EQ(stats.iterations, reference_stats.iterations);
+    for (RowId r = 0; r < out->size(); ++r) {
+      ASSERT_TRUE(out->Row(r) == reference->Row(r))
+          << "run=" << run << " row " << r;
     }
   }
-  RestoreThreadCap();
 }
 
-TEST(ParallelSemiNaive, DeterministicAcrossWorkerCountsAndRuns_SameGen) {
-  ForceRealThreads();
+TEST(SemiNaiveDeterminism, RepeatRunsAgreeWithNaive_SameGen) {
   SameGenerationWorkload w =
       MakeSameGeneration(/*layers=*/5, /*width=*/24, /*fanout=*/2,
                          /*seed=*/99);
   std::vector<LinearRule> rules = SameGenerationRules();
 
-  auto reference = SemiNaiveClosure(rules, w.db, w.q, nullptr, nullptr, 1);
+  auto naive = NaiveClosure(rules, w.db, w.q);
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  ClosureStats reference_stats;
+  auto reference = SemiNaiveClosure(rules, w.db, w.q, &reference_stats);
   ASSERT_TRUE(reference.ok()) << reference.status();
-  std::size_t reference_derivations = 0;
-  for (int workers : {1, 2, 8}) {
-    for (int run = 0; run < 5; ++run) {
-      ClosureStats stats;
-      auto out = SemiNaiveClosure(rules, w.db, w.q, &stats, nullptr,
-                                  workers);
-      ASSERT_TRUE(out.ok()) << out.status();
-      EXPECT_EQ(*reference, *out) << "workers=" << workers << " run=" << run;
-      if (reference_derivations == 0) {
-        reference_derivations = stats.derivations;
-      }
-      EXPECT_EQ(stats.derivations, reference_derivations)
-          << "workers=" << workers << " run=" << run;
-    }
+  EXPECT_EQ(*naive, *reference);
+  for (int run = 0; run < 3; ++run) {
+    ClosureStats stats;
+    auto out = SemiNaiveClosure(rules, w.db, w.q, &stats);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(*reference, *out) << "run=" << run;
+    EXPECT_EQ(stats.derivations, reference_stats.derivations) << "run=" << run;
   }
-  RestoreThreadCap();
 }
 
-TEST(ParallelSemiNaive, ResumeDeterministicAcrossWorkerCounts) {
-  ForceRealThreads();
+TEST(SemiNaiveDeterminism, ResumeMatchesClosureOfTheUnion) {
   Database db;
   db.GetOrCreate("e", 2) = RandomGraph(150, 450, /*seed=*/21);
   std::vector<LinearRule> rules = {LR("p(X,Y) :- p(X,Z), e(Z,Y).")};
 
   Relation q1(2);
   for (int i = 0; i < 150; i += 10) q1.Insert({i, i});
-  auto closed = SemiNaiveClosure(rules, db, q1, nullptr, nullptr, 1);
+  auto closed = SemiNaiveClosure(rules, db, q1);
   ASSERT_TRUE(closed.ok()) << closed.status();
 
   Relation extra(2);
   for (int i = 5; i < 150; i += 10) extra.Insert({i, i});
-  auto reference = SemiNaiveResume(rules, db, *closed, extra, nullptr,
-                                   nullptr, 1);
+  Relation both = q1;
+  both.UnionWith(extra);
+  auto reference = SemiNaiveClosure(rules, db, both);
   ASSERT_TRUE(reference.ok()) << reference.status();
-  for (int workers : {2, 8}) {
-    auto out =
-        SemiNaiveResume(rules, db, *closed, extra, nullptr, nullptr,
-                        workers);
-    ASSERT_TRUE(out.ok()) << out.status();
-    EXPECT_EQ(*reference, *out) << "workers=" << workers;
-  }
-  RestoreThreadCap();
+  auto out = SemiNaiveResume(rules, db, *closed, extra);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(*reference, *out);
 }
 
-TEST(ParallelSemiNaive, EngineForcedParallelMatchesSerial) {
-  ForceRealThreads();
-  // Engine-level: parallel_workers applies to the automatically planned
-  // strategy; an 8-worker engine and a serial engine agree on tc_random.
+TEST(SemiNaiveDeterminism, EngineWorkerOptionLeavesExecuteUnchanged) {
+  // parallel_workers sizes batch lanes only: a single Execute on an
+  // 8-worker engine and on a serial engine agree on tc_random.
   auto build_engine = [](int workers) {
     Database db;
     db.GetOrCreate("e", 2) = RandomGraph(200, 600, /*seed=*/7);
@@ -252,29 +220,26 @@ TEST(ParallelSemiNaive, EngineForcedParallelMatchesSerial) {
   ASSERT_TRUE(serial.ok()) << serial.status();
   ASSERT_TRUE(parallel.ok()) << parallel.status();
   EXPECT_EQ(serial->relation(), parallel->relation());
-  RestoreThreadCap();
 }
 
-TEST(ParallelSemiNaive, ParallelNaiveAndPowerSumMatchSerial) {
-  ForceRealThreads();
+TEST(SemiNaiveDeterminism, NaiveAndPowerSumMatchSemiNaive) {
   Database db;
   db.GetOrCreate("e", 2) = RandomGraph(120, 360, /*seed=*/3);
   std::vector<LinearRule> rules = {LR("p(X,Y) :- p(X,Z), e(Z,Y).")};
   Relation q(2);
   for (int i = 0; i < 120; i += 6) q.Insert({i, i});
 
-  auto naive_serial = NaiveClosure(rules, db, q, nullptr, nullptr, 1);
-  auto naive_parallel = NaiveClosure(rules, db, q, nullptr, nullptr, 8);
-  ASSERT_TRUE(naive_serial.ok()) << naive_serial.status();
-  ASSERT_TRUE(naive_parallel.ok()) << naive_parallel.status();
-  EXPECT_EQ(*naive_serial, *naive_parallel);
+  auto semi = SemiNaiveClosure(rules, db, q);
+  ASSERT_TRUE(semi.ok()) << semi.status();
+  auto naive = NaiveClosure(rules, db, q);
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  EXPECT_EQ(*semi, *naive);
 
-  auto power_serial = PowerSum(rules, db, q, 6, nullptr, nullptr, 1);
-  auto power_parallel = PowerSum(rules, db, q, 6, nullptr, nullptr, 8);
-  ASSERT_TRUE(power_serial.ok()) << power_serial.status();
-  ASSERT_TRUE(power_parallel.ok()) << power_parallel.status();
-  EXPECT_EQ(*power_serial, *power_parallel);
-  RestoreThreadCap();
+  // A shortest path visits each of the 120 nodes at most once, so the
+  // power sum up to A^120 already holds the whole closure.
+  auto power = PowerSum(rules, db, q, 120);
+  ASSERT_TRUE(power.ok()) << power.status();
+  EXPECT_EQ(*semi, *power);
 }
 
 TEST(StrategyEquivalence, SimdAndScalarScansAgreeOnEveryStrategysClosure) {
@@ -316,8 +281,7 @@ TEST(StrategyEquivalence, SimdAndScalarScansAgreeOnEveryStrategysClosure) {
   check(*power);
 
   std::vector<std::vector<LinearRule>> groups = {{rules[0]}, {rules[1]}};
-  auto decomposed =
-      DecomposedClosure(groups, w.db, w.q, nullptr, nullptr, /*workers=*/1);
+  auto decomposed = DecomposedClosure(groups, w.db, w.q);
   ASSERT_TRUE(decomposed.ok()) << decomposed.status();
   check(*decomposed);
 }

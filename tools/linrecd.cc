@@ -8,11 +8,17 @@
 //                                     serves a thread per connection until
 //                                     a client sends SHUTDOWN)
 //
-// Limits: --timeout-ms N, --max-rows N, --max-pending N, --workers N,
+// Limits: --timeout-ms N, --max-rows N, --max-pending N,
 // --memory-budget BYTES (global ledger), --query-memory-budget BYTES
 // (per-query default; sessions override with SET memory_budget),
 // --retry-after MS (backoff hint in Unavailable replies),
-// --watchdog-interval MS (deadline-watchdog scan period).
+// --watchdog-interval MS (deadline-watchdog scan period). A socket line
+// longer than kMaxLineBytes gets ERR InvalidArgument and its connection is
+// closed.
+//
+// --workers N sizes the batch lanes: a pipelined run of "?-" lines is
+// evaluated N queries at a time (0 = one lane per hardware thread, the
+// default). Each closure's rounds run serially on its lane.
 //
 // Fault injection (deterministic, for smoke tests):
 //   --fault <site>:<n>      fire an injected fault on the nth hit of the
@@ -39,6 +45,8 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/strings.h"
+#include "server/protocol.h"
 #include "server/server.h"
 
 namespace linrec {
@@ -103,6 +111,11 @@ int RunScript(Server& server, std::istream& in, std::ostream& out,
   return 0;
 }
 
+/// Longest partial line one connection may buffer. A line is one request,
+/// rule or fact line; without a cap, a client that never sends '\n' grows
+/// the daemon's memory without bound.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
 struct ListenState {
   int listen_fd = -1;
   std::atomic<bool> shutting_down{false};
@@ -134,13 +147,21 @@ void ServeConnection(Server& server, ListenState& state, int fd) {
     }
     buffer.erase(0, begin);
     scanned = buffer.size();
-    if (lines.empty()) continue;
+    const bool overlong = buffer.size() > kMaxLineBytes;
+    if (lines.empty() && !overlong) continue;
     std::string reply_bytes;
     auto write = [&](const std::string& reply) {
       reply_bytes += reply;
       reply_bytes += '\n';
     };
     Server::Action action = ProcessLines(server, *session, lines, write);
+    // The complete lines before it are served; the over-long one is
+    // refused and ends this connection only.
+    if (overlong && action == Server::Action::kContinue) {
+      write(FormatError(Status::InvalidArgument(
+          StrCat("line exceeds ", kMaxLineBytes, " bytes"))));
+      action = Server::Action::kCloseSession;
+    }
     std::size_t sent = 0;
     while (sent < reply_bytes.size()) {
       // Injected socket fault: behave exactly like a peer that vanished
@@ -220,7 +241,8 @@ int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--file <script> | --stdin | --port <n>]\n"
                "       [--timeout-ms <n>] [--max-rows <n>]"
-               " [--max-pending <n>] [--workers <n>]\n"
+               " [--max-pending <n>]\n"
+               "       [--workers <n>]  (batch lanes; 0 = one per CPU)\n"
                "       [--memory-budget <bytes>]"
                " [--query-memory-budget <bytes>]\n"
                "       [--retry-after <ms>] [--watchdog-interval <ms>]\n"
